@@ -121,8 +121,10 @@ def tail_constant_theoretical(p: SymmetricDS) -> float:
     via_lambda = lam * (p.a ** (2 * g) / 2.0**g) / (math.gamma(1.0 - 2 * g)
                                                     * math.cos(math.pi * g))
     direct = p.sigma ** (2 * g) / (math.gamma(1.0 - 2 * g) * math.cos(math.pi * g))
-    assert abs(via_lambda - direct) <= 1e-12 * abs(direct), "algebraic forms diverge"
-    assert direct > 0.0, "tail constant must be positive (sign pairing broke)"
+    if not abs(via_lambda - direct) <= 1e-12 * abs(direct):
+        raise PrecisionError(f"tail constant forms disagree: {via_lambda!r} vs {direct!r}")
+    if not direct > 0.0:
+        raise PrecisionError(f"tail constant {direct!r} is not positive (sign pairing broke)")
     return direct
 
 

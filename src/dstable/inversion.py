@@ -2,9 +2,12 @@
 
 For a law on the lattice a*Z with CF g, the masses on the window
 k in [-N/2, N/2) are p_k = (1/N) sum_j g(2 pi j / (N a)) e^{-2 pi i j k / N}.
-The DFT returns the true PMF folded modulo N, so the window must be wide
-enough that out-of-window mass is negligible; `alias_bound` carries a cheap
-estimate of that mass and `pmf_auto` widens the window until it is small.
+A lattice CF is Hermitian and 2 pi / a - periodic, g(t_{N-j}) = conj g(t_j), so
+g is needed on the half grid j = 0..N/2 only (spot-checked on a few mirrored
+points) and the masses are the real inverse FFT of conj g. They come folded
+modulo N, so the window must be wide enough that out-of-window mass is
+negligible; `alias_bound` carries a cheap estimate of that mass and
+`pmf_auto` doubles the window until it is small, reusing the previous CF values.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .errors import DomainError, InversionError, PrecisionError
 __all__ = ["LatticePMF", "pmf_from_cf", "pmf_auto", "tail_prob", "cdf_from_pmf"]
 
 _NEG_EPS = 1e-12      # masses below -_NEG_EPS mean the input was not a CF
-_IMAG_TOL = 1e-10     # largest imaginary residual tolerated in the transform
-_DIRECT_MAX = 1 << 10  # direct O(N^2) transform up to here, radix-2 FFT above
+_IMAG_TOL = 1e-10     # largest |cf(t_{N-j}) - conj cf(t_j)| tolerated
+_MIRROR_POINTS = 32   # mirrored points spot-checked per window
 
 
 @dataclass(frozen=True)
@@ -69,40 +72,6 @@ class LatticePMF:
         return 0.0
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Forward DFT (e^{-2 pi i j k / n} kernel) of a power-of-two-length array.
-
-    Iterative radix-2 decimation in time with a fixed butterfly order, so the
-    result is reproducible bit for bit across runs.
-    """
-    n = x.size
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    y = np.ascontiguousarray(x[rev], dtype=complex)
-    size = 2
-    while size <= n:
-        half = size >> 1
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = y.reshape(n // size, size)
-        spun = blocks[:, half:] * twiddle
-        upper = blocks[:, :half]
-        blocks[:, half:] = upper - spun
-        upper += spun
-        size <<= 1
-    return y
-
-
-def _dft_direct(x: np.ndarray) -> np.ndarray:
-    """O(n^2) forward DFT, the correctness oracle for the fast path."""
-    n = x.size
-    j = np.arange(n)
-    kernel = np.exp(-2j * np.pi / n * np.outer(j, j))
-    return kernel @ x
-
-
 def _geometric_tail(outer: np.ndarray) -> float:
     """Estimate of the mass beyond a window edge from its outermost decade.
 
@@ -126,8 +95,12 @@ def pmf_from_cf(cf, a: float, n: int) -> LatticePMF:
     """Invert a 2 pi / a - periodic CF to masses on k in [-n/2, n/2).
 
     `cf` must accept a float ndarray and return the CF values; `n` must be a
-    power of two >= 8. Raises InversionError if cf(0) is not 1 to 1e-12, if
-    imaginary residuals exceed 1e-10, or if a mass falls below -1e-12.
+    power of two >= 8. `cf` is evaluated on t_j = 2 pi j / (n a) for
+    j = 0..n/2 and, as a spot check, at up to 32 mirrored points t_{n-j}
+    (j = 1 and n/2 - 1 among them; every j when n/2 <= 32). Raises
+    InversionError if cf(0) is not 1 to 1e-12, if |Im cf(pi/a)| or some
+    |cf(t_{n-j}) - conj cf(t_j)| exceeds 1e-10, or if a mass falls below
+    -1e-12.
     """
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
         raise DomainError(f"n must be an integer, got {n!r}")
@@ -137,50 +110,77 @@ def pmf_from_cf(cf, a: float, n: int) -> LatticePMF:
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"lattice pitch a must be > 0, got {a!r}")
 
-    t = 2.0 * math.pi / (n * a) * np.arange(n, dtype=float)
+    half = n // 2
+    step = 2.0 * math.pi / (n * a)
+    t = step * np.arange(half + 1, dtype=float)
     values = np.asarray(cf(t), dtype=complex)
     if values.shape != t.shape:
         raise DomainError("cf must return one value per grid point")
-    origin = values[0]
-    if abs(origin - 1.0) > 1e-12:
-        raise InversionError(f"cf(0) = {origin!r}, not 1 to 1e-12: not a CF")
-
-    spectrum = _dft_direct(values) if n <= _DIRECT_MAX else _fft_pow2(values)
-    folded = spectrum / n
-    imag = float(np.max(np.abs(folded.imag)))
-    if imag > _IMAG_TOL:
+    if abs(values[0] - 1.0) > 1e-12:
+        raise InversionError(f"cf(0) = {values[0]!r}, not 1 to 1e-12: not a CF")
+    # mirror spot check on j = 1 .. n/2 - 1: every j up to 32 of them
+    j = np.linspace(1, half - 1, min(_MIRROR_POINTS, half - 1)).round().astype(np.int64)
+    mirrored = np.asarray(cf(step * (n - j)), dtype=complex)
+    gap = max(abs(values[half].imag), float(np.max(np.abs(mirrored - np.conj(values[j])))))
+    if gap > _IMAG_TOL:
         raise InversionError(
-            f"imaginary residual {imag:.3e} exceeds {_IMAG_TOL:g}: "
-            "cf is not Hermitian or not periodic on this lattice"
+            f"Im cf(pi/a) or |cf(t_(n-j)) - conj cf(t_j)| is {gap:.3e}, above "
+            f"{_IMAG_TOL:g}: cf is not Hermitian or not periodic on this lattice"
         )
-    # reorder j = 0..n-1 (frequencies mod n) to k = -n/2 .. n/2 - 1
-    masses = np.concatenate([folded.real[n // 2:], folded.real[: n // 2]])
+
+    # masses at k = 0..n-1 (mod n), reordered to k = -n/2 .. n/2 - 1
+    masses = np.fft.fftshift(np.fft.irfft(np.conj(values), n))
     if masses.min() < -_NEG_EPS:
         raise InversionError(
             f"mass {masses.min():.3e} below -{_NEG_EPS:g}: inversion failed"
         )
 
     clamped = np.maximum(masses, 0.0)
-    half = n // 2
     alias = max(0.0, 1.0 - float(clamped.sum()))
     alias += _geometric_tail(clamped[:half][::-1])  # k = -1 .. -n/2, outward
     alias += _geometric_tail(clamped[half + 1:])    # k = +1 .. n/2-1, outward
     return LatticePMF(a=a, k_min=-half, masses=masses, alias_bound=alias)
 
 
+class _HalfGridMemo:
+    """`cf` that reuses its values on the largest grid it has seen.
+
+    The half grid of window 2n at even j is bit for bit the half grid of
+    window n (2n * a is exactly 2 * (n * a)), so a call whose even points
+    equal the stored grid evaluates `cf` at its odd points only.
+    """
+
+    def __init__(self, cf):
+        self.cf, self.t, self.values = cf, None, None
+
+    def __call__(self, t):
+        old = self.t
+        if old is not None and t.size == 2 * old.size - 1 and np.array_equal(t[::2], old):
+            values = np.empty(t.size, dtype=complex)
+            values[::2], values[1::2] = self.values, self.cf(t[1::2])
+        else:
+            values = np.asarray(self.cf(t), dtype=complex)
+        if old is None or t.size > old.size:  # smaller calls: the mirror spot check
+            self.t, self.values = t, values
+        return values
+
+
 def pmf_auto(cf, a: float, tol: float = 1e-6, n_max: int = 1 << 24) -> LatticePMF:
     """Invert with the smallest power-of-two window whose alias_bound < tol.
 
-    Doubles n from 256 upward; raises PrecisionError with a window-size hint
-    if the bound is still above tol at n_max.
+    Doubles n from 256 upward, evaluating `cf` only at the half-grid points
+    each doubling adds; raises PrecisionError with a window-size hint if the
+    bound is still above tol at n_max.
     """
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must be in (0, 1), got {tol!r}")
+    if n_max < 256:
+        raise DomainError(f"n_max must be >= 256, the first window, got {n_max!r}")
+    memo = _HalfGridMemo(cf)
     n = 256
     history = []
-    pmf = None
     while n <= n_max:
-        pmf = pmf_from_cf(cf, a, n)
+        pmf = pmf_from_cf(memo, a, n)
         history.append((n, pmf.alias_bound))
         if pmf.alias_bound < tol:
             return pmf

@@ -27,6 +27,7 @@ from .families import (
     compound_poisson_view,
     derived_intensities,
 )
+from .special import _check_index
 
 __all__ = [
     "RngState",
@@ -309,9 +310,9 @@ def _sample_jumps(p: FamilyParams, rng: RngState, count: int) -> np.ndarray:
         w = _sibuya_weights(p.gamma, p.m)
         cdf = np.cumsum(w) / w.sum()
         k = np.minimum(np.searchsorted(cdf, gen.random(count), side="right"), p.m - 1) + 1
-        assert np.all(k <= p.m)  # jumps never exceed a*m by construction
         steps = _rademacher_sum(k.astype(np.int64), gen)
-        assert np.all(np.abs(steps) <= p.m)
+        if np.any(np.abs(steps) > p.m):  # jumps never exceed a*m by construction
+            raise PrecisionError(f"TruncatedSDS jump beyond its support a*m, m = {p.m}")
         return steps
     if isinstance(p, DiscreteStable):
         l1, l2 = derived_intensities(p)
@@ -364,6 +365,7 @@ def sample_family(p: FamilyParams, rng: RngState, size=None, threads: int = 1):
     batch index, so the result depends only on (stream state, size) — not on
     `threads`, which merely sets how many batches run concurrently.
     """
+    threads = _check_index(threads, "threads")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads!r}")
     n = 1 if size is None else _as_count(size)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc, ndtr
 
+from dstable import analysis
 from dstable.analysis import (
     PrelimitReport,
     TailReport,
@@ -125,6 +126,22 @@ def test_tail_constant_gaussian_case_rejected():
 def test_tail_constant_wrong_family_rejected():
     with pytest.raises(DomainError, match="SymmetricDS only"):
         tail_constant_theoretical(DiscreteStable(0.7, 0.0, 1.0, 1.0))
+
+
+def test_tail_constant_disagreeing_forms_raise(monkeypatch):
+    # a Lévy intensity off by 1% breaks the lambda form against the sigma form
+    real = analysis.derived_intensities
+    monkeypatch.setattr(analysis, "derived_intensities",
+                        lambda p: tuple(1.01 * x for x in real(p)))
+    with pytest.raises(PrecisionError, match="disagree"):
+        tail_constant_theoretical(SymmetricDS(0.4, 1.0, 1.0))
+
+
+def test_tail_constant_sign_flip_raises(monkeypatch):
+    # both forms agree, but a negative Gamma factor makes the constant negative
+    monkeypatch.setattr(math, "gamma", lambda x: -1.0)
+    with pytest.raises(PrecisionError, match="not positive"):
+        tail_constant_theoretical(SymmetricDS(0.4, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

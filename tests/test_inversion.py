@@ -1,5 +1,6 @@
 """Fourier-inversion correctness: exact finite cases, the Bessel-series
-identity, DFT-path equivalence, and aliasing control."""
+identity, agreement with a direct DFT, the Hermitian spot checks, CF reuse
+across window doublings, and aliasing control."""
 
 import math
 
@@ -11,8 +12,6 @@ from dstable.errors import DomainError, InversionError, PrecisionError
 from dstable.families import DiscreteStable, SymmetricDS, char_fn
 from dstable.inversion import (
     LatticePMF,
-    _dft_direct,
-    _fft_pow2,
     cdf_from_pmf,
     pmf_auto,
     pmf_from_cf,
@@ -91,23 +90,47 @@ def test_bessel_identity_gamma_one():
 
 
 # ---------------------------------------------------------------------------
-# transform internals
+# transform against a direct DFT
 # ---------------------------------------------------------------------------
+
+def _dft_direct(x: np.ndarray) -> np.ndarray:
+    """O(n^2) forward DFT, the correctness oracle for the fast path."""
+    n = x.size
+    j = np.arange(n)
+    kernel = np.exp(-2j * np.pi / n * np.outer(j, j))
+    return kernel @ x
+
+
+def _masses_direct(cf, a, n):
+    """Masses on k = -n/2 .. n/2 - 1 from cf on the full grid, via _dft_direct."""
+    t = 2.0 * math.pi / (n * a) * np.arange(n)
+    folded = _dft_direct(cf(t)) / n
+    assert np.max(np.abs(folded.imag)) < 1e-12
+    return np.concatenate([folded.real[n // 2:], folded.real[: n // 2]])
+
 
 def test_direct_and_fft_paths_agree():
     p = DiscreteStable(0.7, 0.4, 1.0, 0.5)
     n = 1 << 10
-    t = 2.0 * math.pi / (n * 0.5) * np.arange(n)
-    values = char_fn(p, t)
-    direct = _dft_direct(values) / n
-    fast = _fft_pow2(values) / n
+    direct = _masses_direct(_cf_of(p), 0.5, n)
+    fast = pmf_from_cf(_cf_of(p), 0.5, n).masses
     assert np.max(np.abs(direct - fast)) < 1e-12
 
 
-def test_fft_matches_dft_on_random_input():
+def test_random_skewed_lattice_pmf_recovered():
+    # cf(t) = sum_k p_k e^{i a k t}: a wrong conj or sign mirrors the masses
     rng = np.random.default_rng(5)
-    x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    assert np.max(np.abs(_fft_pow2(x) - _dft_direct(x))) < 1e-11
+    a, n = 0.3, 64
+    k = np.arange(-n // 2, n // 2)
+    p = rng.random(n) * np.where(k > 0, 3.0, 1.0)
+    p /= p.sum()
+
+    def cf(t):
+        return np.exp(1j * a * np.outer(t, k)) @ p
+
+    pmf = pmf_from_cf(cf, a, n)
+    assert np.max(np.abs(pmf.masses - p)) < 1e-11
+    assert np.max(np.abs(_masses_direct(cf, a, n) - p)) < 1e-11
 
 
 def test_parseval():
@@ -186,6 +209,22 @@ def test_non_hermitian_cf_rejected():
         pmf_from_cf(lambda t: np.exp(1j * 0.37 * t), 1.0, 8)
 
 
+def _imag_at_nyquist(t):
+    # Hermitian at every mirrored pair but the self-mirrored point pi/a
+    return np.cos(t) + 0.2j * np.isclose(t, np.pi)
+
+
+@pytest.mark.parametrize("n", [8, 4096])
+@pytest.mark.parametrize("cf", [
+    lambda t: np.exp(0.37j * t),                     # not 2 pi - periodic
+    lambda t: np.cos(t) + 0.3j * np.sin(t) ** 2,     # periodic, not Hermitian
+    _imag_at_nyquist,
+], ids=["non-periodic", "non-hermitian", "imag-at-nyquist"])
+def test_mirror_spot_check_rejects(cf, n):
+    with pytest.raises(InversionError, match="not Hermitian or not periodic"):
+        pmf_from_cf(cf, 1.0, n)
+
+
 def test_non_positive_definite_cf_rejected():
     # cf(0) = 1 but "masses" go negative: not a CF on this lattice
     with pytest.raises(InversionError):
@@ -228,3 +267,26 @@ def test_pmf_auto_cap_raises_with_hint():
         pmf_auto(cf, 1.0, tol=1e-9, n_max=1 << 14)
     with pytest.raises(DomainError):
         pmf_auto(cf, 1.0, tol=0.0)
+    with pytest.raises(DomainError, match="n_max"):
+        pmf_auto(cf, 1.0, tol=1e-6, n_max=128)
+
+
+@pytest.mark.parametrize("p, tol", [
+    (SymmetricDS(0.6, 1.0, 0.1), 1e-5),
+    (DiscreteStable(0.7, 0.5, 1.0, 0.5), 1e-4),
+])
+def test_pmf_auto_evaluates_each_half_grid_point_once(p, tol):
+    seen = []
+
+    def cf(t):
+        seen.append(np.size(t))
+        return char_fn(p, t)
+
+    pmf = pmf_auto(cf, p.a, tol=tol)
+    final_n = pmf.masses.size
+    assert final_n >= 1024  # several doublings
+    windows = [256 << i for i in range(int(math.log2(final_n // 256)) + 1)]
+    spot = sum(min(32, n // 2 - 1) for n in windows)
+    assert sum(seen) <= final_n // 2 + 1 + spot
+    again = pmf_from_cf(_cf_of(p), p.a, final_n)
+    assert np.max(np.abs(pmf.masses - again.masses)) < 1e-14

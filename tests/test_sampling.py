@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstable.analysis import binned_tv
-from dstable.errors import DomainError
+from dstable import sampling
+from dstable.errors import DomainError, PrecisionError
 from dstable.families import (
     DiscreteStable,
     PolylogDS,
@@ -316,6 +317,17 @@ class TestSampleFamily:
     def test_bad_threads(self):
         with pytest.raises(DomainError):
             sample_family(SymmetricDS(0.5, 1.0, 1.0), RngState(0), size=10, threads=0)
+
+    @pytest.mark.parametrize("threads", [True, 2.0, 2.5, "2", None])
+    def test_non_integer_threads(self, threads):
+        with pytest.raises(DomainError, match="integer"):
+            sample_family(SymmetricDS(0.5, 1.0, 1.0), RngState(0), size=10, threads=threads)
+
+    def test_truncated_jump_beyond_support_raises(self, monkeypatch):
+        # a step sum that overshoots a*m must not reach the caller
+        monkeypatch.setattr(sampling, "_rademacher_sum", lambda k, gen: k + 1)
+        with pytest.raises(PrecisionError, match="support"):
+            sample_family(TruncatedSDS(0.4, 1.0, 1.0, 8), RngState(0), size=1000)
 
     @pytest.mark.parametrize("size", [-1, 2.5, "10"])
     def test_bad_size(self, size):
