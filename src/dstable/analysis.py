@@ -16,7 +16,6 @@ from .families import (
     StableParams,
     SymmetricDS,
     TemperedDS,
-    TruncatedPolylogDS,
     TruncatedSDS,
     char_fn,
     derived_intensities,

@@ -307,7 +307,13 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_table(fh, args.format, meta, columns, rows)
     else:
-        _write_table(sys.stdout, args.format, meta, columns, rows)
+        try:
+            _write_table(sys.stdout, args.format, meta, columns, rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (as `| head` does): the rest is unwanted;
+            # stdout goes to devnull so the flush at interpreter exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -1,22 +1,25 @@
-"""The six lattice families: parameters, exact characteristic functions,
-compound-Poisson views, Levy weights, and their limiting stable laws.
+"""The six lattice families, each class the one definition of its law.
 
-Every family lives on the lattice a*Z and has a CF of the form
-exp(-Lambda (1 - h(t))) for a total jump intensity Lambda and a single-jump
-CF h; `char_fn` evaluates the closed form directly and
-`compound_poisson_view` exposes the (Lambda, h) decomposition, which agree
-to rounding by construction.
+Every family lives on the lattice a*Z and is a compound-Poisson law: a total
+jump intensity Lambda and a single-jump law, with CF exp(-Lambda (1 - h(t))).
+Each class holds its parameter rules, its one-sided intensities, Lambda, its
+log CF as a function of a*t, its Levy weights, its stable target and its jump
+sampler. The public functions below (`char_fn`, `compound_poisson_view`,
+`derived_intensities`, `levy_weight`, `target_stable`) dispatch to the class
+through one guard; `compound_poisson_view` derives h = 1 + log CF / Lambda,
+so the CF formula of each family is written once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from . import sampling
+from .errors import DomainError, PrecisionError
 from .special import polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
 
 __all__ = [
@@ -45,12 +48,59 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
+# ---------------------------------------------------------------------------
+# parameter rules
+# ---------------------------------------------------------------------------
+
+
+def _real(test: Callable[[float], bool]) -> Callable[[float], bool]:
+    return lambda v: math.isfinite(v) and test(v)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
+# field name -> (name in messages, test, rule as the message states it)
+_RULES = {
+    "gamma": ("gamma", _real(lambda v: 0.0 < v <= 1.0), "be in (0, 1]"),
+    "alpha": ("alpha", _real(lambda v: 0.0 < v < 1.0), "be in (0, 1)"),
+    "beta": ("beta", _real(lambda v: -1.0 <= v <= 1.0), "be in [-1, 1]"),
+    "sigma": ("sigma", _real(lambda v: v > 0.0), "be > 0"),
+    "a": ("a", _real(lambda v: v > 0.0), "be > 0"),
+    "theta1": ("theta1", _real(lambda v: v >= 0.0), "be >= 0"),
+    "theta2": ("theta2", _real(lambda v: v >= 0.0), "be >= 0"),
+    "p": ("P", _real(lambda v: v >= 0.0), "be >= 0"),
+    "q": ("Q", _real(lambda v: v >= 0.0), "be >= 0"),
+    "m": ("m", _is_count, "be an integer >= 1"),
+}
+
+# rules on several fields, checked right after the field named as the key
+_JOINT_RULES = {
+    "q": (lambda o: o.p + o.q > 0.0, "P + Q must be > 0"),
+    "theta2": (lambda o: o.theta1 + o.theta2 > 0.0,
+               "theta1 + theta2 must be > 0 (otherwise use DiscreteStable)"),
+}
+
+
+def _validate(obj, **overrides) -> None:
+    """Check each field of `obj` by its _RULES entry, or by `overrides`."""
+    for f in fields(obj):
+        label, ok, rule = overrides.get(f.name, _RULES[f.name])
+        value = getattr(obj, f.name)
+        _require(ok(value), f"{label} must {rule}, got {value!r}")
+        if f.name in _JOINT_RULES:
+            joint, msg = _JOINT_RULES[f.name]
+            _require(joint(obj), msg)
+
+
+def _validate_polylog(p) -> None:
+    """_validate, with the polylog pair's alpha > 0 rule."""
+    _validate(p, alpha=("alpha", _real(lambda v: v > 0.0), "be > 0"))
 
 
 # ---------------------------------------------------------------------------
-# parameter types
+# stable laws and views
 # ---------------------------------------------------------------------------
 
 
@@ -63,12 +113,7 @@ class StableParams:
     sigma: float
 
     def __post_init__(self):
-        _require(_finite(self.alpha) and 0.0 < self.alpha <= 2.0,
-                 f"alpha must be in (0, 2], got {self.alpha!r}")
-        _require(_finite(self.beta) and -1.0 <= self.beta <= 1.0,
-                 f"beta must be in [-1, 1], got {self.beta!r}")
-        _require(_finite(self.sigma) and self.sigma > 0.0,
-                 f"sigma must be > 0, got {self.sigma!r}")
+        _validate(self, alpha=("alpha", _real(lambda v: 0.0 < v <= 2.0), "be in (0, 2]"))
 
 
 @dataclass(frozen=True)
@@ -90,141 +135,6 @@ class CompoundPoissonView:
 
     total_intensity: float
     jump_cf: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class SymmetricDS:
-    """Symmetric lattice law with CF exp{-sigma^2g (2/a^2)^g (1-cos at)^g}, g = gamma."""
-
-    gamma: float
-    sigma: float
-    a: float
-
-    def __post_init__(self):
-        _require(_finite(self.gamma) and 0.0 < self.gamma <= 1.0,
-                 f"gamma must be in (0, 1], got {self.gamma!r}")
-        _require(_finite(self.sigma) and self.sigma > 0.0,
-                 f"sigma must be > 0, got {self.sigma!r}")
-        _require(_finite(self.a) and self.a > 0.0,
-                 f"a must be > 0, got {self.a!r}")
-
-
-@dataclass(frozen=True)
-class TruncatedSDS:
-    """SymmetricDS with the jump-size series truncated at m steps."""
-
-    gamma: float
-    sigma: float
-    a: float
-    m: int
-
-    def __post_init__(self):
-        _require(_finite(self.gamma) and 0.0 < self.gamma <= 1.0,
-                 f"gamma must be in (0, 1], got {self.gamma!r}")
-        _require(_finite(self.sigma) and self.sigma > 0.0,
-                 f"sigma must be > 0, got {self.sigma!r}")
-        _require(_finite(self.a) and self.a > 0.0,
-                 f"a must be > 0, got {self.a!r}")
-        _require(isinstance(self.m, (int, np.integer)) and not isinstance(self.m, bool)
-                 and self.m >= 1, f"m must be an integer >= 1, got {self.m!r}")
-
-
-@dataclass(frozen=True)
-class DiscreteStable:
-    """Two-sided lattice law with log CF -l1 (1-e^{iat})^alpha - l2 (1-e^{-iat})^alpha."""
-
-    alpha: float
-    beta: float
-    sigma: float
-    a: float
-
-    def __post_init__(self):
-        _require(_finite(self.alpha) and 0.0 < self.alpha < 1.0,
-                 f"alpha must be in (0, 1), got {self.alpha!r}")
-        _require(_finite(self.beta) and -1.0 <= self.beta <= 1.0,
-                 f"beta must be in [-1, 1], got {self.beta!r}")
-        _require(_finite(self.sigma) and self.sigma > 0.0,
-                 f"sigma must be > 0, got {self.sigma!r}")
-        _require(_finite(self.a) and self.a > 0.0,
-                 f"a must be > 0, got {self.a!r}")
-
-
-@dataclass(frozen=True)
-class TemperedDS:
-    """DiscreteStable with per-index exponential tempering e^{-theta k} on each side."""
-
-    alpha: float
-    beta: float
-    sigma: float
-    a: float
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        _require(_finite(self.alpha) and 0.0 < self.alpha < 1.0,
-                 f"alpha must be in (0, 1), got {self.alpha!r}")
-        _require(_finite(self.beta) and -1.0 <= self.beta <= 1.0,
-                 f"beta must be in [-1, 1], got {self.beta!r}")
-        _require(_finite(self.sigma) and self.sigma > 0.0,
-                 f"sigma must be > 0, got {self.sigma!r}")
-        _require(_finite(self.a) and self.a > 0.0,
-                 f"a must be > 0, got {self.a!r}")
-        _require(_finite(self.theta1) and self.theta1 >= 0.0,
-                 f"theta1 must be >= 0, got {self.theta1!r}")
-        _require(_finite(self.theta2) and self.theta2 >= 0.0,
-                 f"theta2 must be >= 0, got {self.theta2!r}")
-        _require(self.theta1 + self.theta2 > 0.0,
-                 "theta1 + theta2 must be > 0 (otherwise use DiscreteStable)")
-
-
-@dataclass(frozen=True)
-class PolylogDS:
-    """Lattice law whose Levy weights are P k^{-1-alpha} (right) and Q (left)."""
-
-    alpha: float
-    p: float
-    q: float
-    a: float
-
-    def __post_init__(self):
-        _require(_finite(self.alpha) and self.alpha > 0.0,
-                 f"alpha must be > 0, got {self.alpha!r}")
-        _require(_finite(self.p) and self.p >= 0.0,
-                 f"P must be >= 0, got {self.p!r}")
-        _require(_finite(self.q) and self.q >= 0.0,
-                 f"Q must be >= 0, got {self.q!r}")
-        _require(self.p + self.q > 0.0, "P + Q must be > 0")
-        _require(_finite(self.a) and self.a > 0.0,
-                 f"a must be > 0, got {self.a!r}")
-
-
-@dataclass(frozen=True)
-class TruncatedPolylogDS:
-    """PolylogDS with jump magnitudes capped at m lattice steps."""
-
-    alpha: float
-    p: float
-    q: float
-    a: float
-    m: int
-
-    def __post_init__(self):
-        _require(_finite(self.alpha) and self.alpha > 0.0,
-                 f"alpha must be > 0, got {self.alpha!r}")
-        _require(_finite(self.p) and self.p >= 0.0,
-                 f"P must be >= 0, got {self.p!r}")
-        _require(_finite(self.q) and self.q >= 0.0,
-                 f"Q must be >= 0, got {self.q!r}")
-        _require(self.p + self.q > 0.0, "P + Q must be > 0")
-        _require(_finite(self.a) and self.a > 0.0,
-                 f"a must be > 0, got {self.a!r}")
-        _require(isinstance(self.m, (int, np.integer)) and not isinstance(self.m, bool)
-                 and self.m >= 1, f"m must be an integer >= 1, got {self.m!r}")
-
-
-FamilyParams = Union[
-    SymmetricDS, TruncatedSDS, DiscreteStable, TemperedDS, PolylogDS, TruncatedPolylogDS
-]
 
 
 # ---------------------------------------------------------------------------
@@ -276,78 +186,311 @@ def _finite_polylog(s: float, theta, m: int) -> np.ndarray:
     return out
 
 
-def _intensities(p: FamilyParams):
-    """One-sided jump intensities (lambda1, lambda2) entering the CF."""
-    if isinstance(p, SymmetricDS):
-        lam = p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
+def _walk_rate(p) -> float:
+    """lambda = sigma^{2 gamma} 2^gamma / a^{2 gamma} of the symmetric-walk pair."""
+    return p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
+
+
+def _intensity_sum(p) -> float:
+    l1, l2 = p._intensities()
+    return l1 + l2
+
+
+def _no_closed_form_weights(p, k: int) -> float:
+    raise DomainError(
+        "symmetric-walk families have no closed-form Levy weights; "
+        "use symmetric_levy_weights"
+    )
+
+
+def _ds_intensities(p):
+    """(lambda1, lambda2) of the discrete-stable pair."""
+    scale = p.sigma**p.alpha / (2.0 * math.cos(0.5 * math.pi * p.alpha) * p.a**p.alpha)
+    return scale * (1.0 + p.beta), scale * (1.0 - p.beta)
+
+
+def _polylog_levy_weight(p, k: int) -> float:
+    side = p.p if k > 0 else p.q
+    return side * p.a**-p.alpha * float(abs(k)) ** -(1.0 + p.alpha)
+
+
+def _polylog_target(p, gaussian: bool) -> AttractionTarget:
+    if p.alpha >= 2.0:
+        return AttractionTarget(None, gaussian=True)
+    # scale from Levy-tail matching: sigma^alpha = (P+Q) pi / (2 alpha sin(pi alpha/2) Gamma(alpha))
+    c = math.pi / (2.0 * p.alpha * math.sin(0.5 * math.pi * p.alpha) * math.gamma(p.alpha))
+    sigma = ((p.p + p.q) * c) ** (1.0 / p.alpha)
+    beta = (p.p - p.q) / (p.p + p.q)
+    return AttractionTarget(StableParams(p.alpha, beta, sigma), gaussian=gaussian)
+
+
+# ---------------------------------------------------------------------------
+# the six families
+#
+# Each class defines, for the dispatchers below: _intensities() -> (l1, l2);
+# _total_intensity() -> Lambda; _log_cf(at), the log CF at at = a*t, which
+# vanishes at at = 0; _levy_weight(k) for a nonzero integer k; _target();
+# and _jumps(rng, count), the jumps in lattice units.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SymmetricDS:
+    """Symmetric lattice law with CF exp{-sigma^2g (2/a^2)^g (1-cos at)^g}, g = gamma."""
+
+    gamma: float
+    sigma: float
+    a: float
+
+    __post_init__ = _validate
+    _total_intensity = _intensity_sum
+    _levy_weight = _no_closed_form_weights
+
+    def _intensities(self):
+        lam = _walk_rate(self)
         return 0.5 * lam, 0.5 * lam
-    if isinstance(p, TruncatedSDS):
-        lam = p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
-        lam_m = lam * (1.0 - sibuya_survival(p.gamma, p.m))
+
+    def _log_cf(self, at):
+        return -_walk_rate(self) * (2.0 * np.sin(0.5 * at) ** 2) ** self.gamma + 0.0j
+
+    def _target(self) -> AttractionTarget:
+        return AttractionTarget(
+            StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=self.gamma == 1.0
+        )
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        # a walk of K fair +-1 steps, K ~ Sibuya(gamma); Sibuya(1) is K = 1
+        if self.gamma == 1.0:
+            k = np.ones(count, dtype=np.int64)
+        else:
+            k = sampling.sample_sibuya(self.gamma, rng, count)
+        return sampling._rademacher_sum(k, rng.generator)
+
+
+@dataclass(frozen=True)
+class TruncatedSDS:
+    """SymmetricDS with the jump-size series truncated at m steps."""
+
+    gamma: float
+    sigma: float
+    a: float
+    m: int
+
+    __post_init__ = _validate
+    _levy_weight = _no_closed_form_weights
+
+    def _intensities(self):
+        lam_m = _walk_rate(self) * (1.0 - sibuya_survival(self.gamma, self.m))
         return 0.5 * lam_m, 0.5 * lam_m
-    if isinstance(p, (DiscreteStable, TemperedDS)):
-        scale = p.sigma**p.alpha / (2.0 * math.cos(0.5 * math.pi * p.alpha) * p.a**p.alpha)
-        return scale * (1.0 + p.beta), scale * (1.0 - p.beta)
-    if isinstance(p, PolylogDS):
-        z = riemann_zeta(1.0 + p.alpha) * p.a**-p.alpha
-        return p.p * z, p.q * z
-    if isinstance(p, TruncatedPolylogDS):
-        h = float(np.real(_finite_polylog(1.0 + p.alpha, 0.0, p.m)[0])) * p.a**-p.alpha
-        return p.p * h, p.q * h
-    raise DomainError(f"not a family parameter object: {p!r}")
+
+    def _total_intensity(self) -> float:
+        w = _sibuya_weights(self.gamma, self.m)
+        return _walk_rate(self) * float(_cos_poly(w, np.array(1.0)))
+
+    def _log_cf(self, at):
+        w = _sibuya_weights(self.gamma, self.m)
+        c = np.cos(at)
+        return _walk_rate(self) * (_cos_poly(w, c) - _cos_poly(w, np.array(1.0))) + 0.0j
+
+    def _target(self) -> AttractionTarget:
+        return AttractionTarget(StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=True)
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        gen = rng.generator
+        w = _sibuya_weights(self.gamma, self.m)
+        cdf = np.cumsum(w) / w.sum()
+        k = np.minimum(np.searchsorted(cdf, gen.random(count), side="right"), self.m - 1) + 1
+        steps = sampling._rademacher_sum(k.astype(np.int64), gen)
+        if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
+            raise PrecisionError(f"TruncatedSDS jump beyond its support a*m, m = {self.m}")
+        return steps
+
+
+@dataclass(frozen=True)
+class DiscreteStable:
+    """Two-sided lattice law with log CF -l1 (1-e^{iat})^alpha - l2 (1-e^{-iat})^alpha."""
+
+    alpha: float
+    beta: float
+    sigma: float
+    a: float
+
+    __post_init__ = _validate
+    _intensities = _ds_intensities
+    _total_intensity = _intensity_sum
+
+    def _log_cf(self, at):
+        l1, l2 = self._intensities()
+        z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)  # 1 - e^{i at}
+        return -l1 * _cpow(z, self.alpha) - l2 * _cpow(np.conj(z), self.alpha)
+
+    def _levy_weight(self, k: int) -> float:
+        l1, l2 = self._intensities()
+        return l1 * sibuya_pmf(self.alpha, k) if k > 0 else l2 * sibuya_pmf(self.alpha, -k)
+
+    def _target(self) -> AttractionTarget:
+        return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma), gaussian=False)
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        l1, l2 = self._intensities()
+        sign = sampling._signs(l1 / (l1 + l2), rng.generator, count)
+        return sign * sampling.sample_sibuya(self.alpha, rng, count)
+
+
+@dataclass(frozen=True)
+class TemperedDS:
+    """DiscreteStable with per-index exponential tempering e^{-theta k} on each side."""
+
+    alpha: float
+    beta: float
+    sigma: float
+    a: float
+    theta1: float
+    theta2: float
+
+    __post_init__ = _validate
+    _intensities = _ds_intensities
+
+    def _bases(self):
+        """(1 - e^{-theta1})^alpha and (1 - e^{-theta2})^alpha, as complex."""
+        z1 = _one_minus_exp(self.theta1, np.array(0.0))
+        z2 = np.conj(_one_minus_exp(self.theta2, np.array(0.0)))
+        return complex(_cpow(z1, self.alpha)), complex(_cpow(z2, self.alpha))
+
+    def _total_intensity(self) -> float:
+        l1, l2 = self._intensities()
+        base1, base2 = self._bases()
+        return l1 * (1.0 - base1.real) + l2 * (1.0 - base2.real)
+
+    def _log_cf(self, at):
+        l1, l2 = self._intensities()
+        base1, base2 = self._bases()
+        z1 = _one_minus_exp(self.theta1, at)
+        z2 = np.conj(_one_minus_exp(self.theta2, at))
+        # grouped per side so the exponent vanishes identically at t = 0
+        return -l1 * (_cpow(z1, self.alpha) - base1) - l2 * (_cpow(z2, self.alpha) - base2)
+
+    def _levy_weight(self, k: int) -> float:
+        l1, l2 = self._intensities()
+        if k > 0:
+            return l1 * sibuya_pmf(self.alpha, k) * math.exp(-self.theta1 * k)
+        return l2 * sibuya_pmf(self.alpha, -k) * math.exp(-self.theta2 * -k)
+
+    def _target(self) -> AttractionTarget:
+        return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma), gaussian=True)
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        gen = rng.generator
+        l1, l2 = self._intensities()
+        lam1 = l1 * (1.0 - (1.0 - math.exp(-self.theta1)) ** self.alpha)
+        lam2 = l2 * (1.0 - (1.0 - math.exp(-self.theta2)) ** self.alpha)
+        pos = gen.random(count) < lam1 / (lam1 + lam2)
+        mag = np.empty(count, dtype=np.int64)
+        n_pos = int(pos.sum())
+        for side_mask, theta, n_side in ((pos, self.theta1, n_pos),
+                                         (~pos, self.theta2, count - n_pos)):
+            if n_side == 0:
+                continue
+            if theta > 0.0:
+                mag[side_mask] = sampling.sample_tempered_sibuya(self.alpha, theta, rng, n_side)
+            else:
+                mag[side_mask] = sampling.sample_sibuya(self.alpha, rng, n_side)
+        return np.where(pos, 1, -1) * mag
+
+
+@dataclass(frozen=True)
+class PolylogDS:
+    """Lattice law whose Levy weights are P k^{-1-alpha} (right) and Q (left)."""
+
+    alpha: float
+    p: float
+    q: float
+    a: float
+
+    __post_init__ = _validate_polylog
+    _total_intensity = _intensity_sum
+    _levy_weight = _polylog_levy_weight
+
+    def _intensities(self):
+        z = riemann_zeta(1.0 + self.alpha) * self.a**-self.alpha
+        return self.p * z, self.q * z
+
+    def _log_cf(self, at):
+        s = 1.0 + self.alpha
+        li = polylog_unit(s, at)
+        z = riemann_zeta(s)
+        return self.a**-self.alpha * (self.p * (li - z) + self.q * (np.conj(li) - z))
+
+    def _target(self) -> AttractionTarget:
+        return _polylog_target(self, gaussian=False)
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
+        return sign * sampling.sample_zeta(1.0 + self.alpha, rng, count)
+
+
+@dataclass(frozen=True)
+class TruncatedPolylogDS:
+    """PolylogDS with jump magnitudes capped at m lattice steps."""
+
+    alpha: float
+    p: float
+    q: float
+    a: float
+    m: int
+
+    __post_init__ = _validate_polylog
+    _total_intensity = _intensity_sum
+
+    def _intensities(self):
+        h = float(np.real(_finite_polylog(1.0 + self.alpha, 0.0, self.m)[0])) * self.a**-self.alpha
+        return self.p * h, self.q * h
+
+    def _log_cf(self, at):
+        s = 1.0 + self.alpha
+        fin = _finite_polylog(s, at, self.m)
+        fin0 = _finite_polylog(s, 0.0, self.m)[0]
+        return self.a**-self.alpha * (self.p * (fin - fin0) + self.q * (np.conj(fin) - fin0))
+
+    def _levy_weight(self, k: int) -> float:
+        return 0.0 if abs(k) > self.m else _polylog_levy_weight(self, k)
+
+    def _target(self) -> AttractionTarget:
+        return _polylog_target(self, gaussian=True)
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
+        return sign * sampling._zeta_capped(1.0 + self.alpha, self.m, rng, count)
+
+
+FamilyParams = Union[
+    SymmetricDS, TruncatedSDS, DiscreteStable, TemperedDS, PolylogDS, TruncatedPolylogDS
+]
+
+
+def _family(p) -> FamilyParams:
+    """`p` itself, once checked to be one of the six family parameter objects."""
+    if not isinstance(p, FamilyParams):
+        raise DomainError(f"not a family parameter object: {p!r}")
+    return p
+
+
+# ---------------------------------------------------------------------------
+# dispatchers
+# ---------------------------------------------------------------------------
 
 
 def derived_intensities(p: FamilyParams):
     """(lambda1, lambda2): one-sided jump intensities; their sum need not be the
     compound-Poisson rate for tempered families (see compound_poisson_view)."""
-    return _intensities(p)
-
-
-# ---------------------------------------------------------------------------
-# characteristic functions
-# ---------------------------------------------------------------------------
+    return _family(p)._intensities()
 
 
 def char_fn(p: FamilyParams, t) -> np.ndarray:
     """Exact characteristic function of the family at real t (scalar or array)."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
-    at = np.atleast_1d(t_arr) * p.a
-
-    if isinstance(p, SymmetricDS):
-        lam = 2.0 * _intensities(p)[0]
-        log_g = -lam * (2.0 * np.sin(0.5 * at) ** 2) ** p.gamma + 0.0j
-    elif isinstance(p, TruncatedSDS):
-        lam = p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
-        w = _sibuya_weights(p.gamma, p.m)
-        c = np.cos(at)
-        log_g = lam * (_cos_poly(w, c) - _cos_poly(w, np.array(1.0))) + 0.0j
-    elif isinstance(p, DiscreteStable):
-        l1, l2 = _intensities(p)
-        z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)  # 1 - e^{i at}
-        log_g = -l1 * _cpow(z, p.alpha) - l2 * _cpow(np.conj(z), p.alpha)
-    elif isinstance(p, TemperedDS):
-        l1, l2 = _intensities(p)
-        z1 = _one_minus_exp(p.theta1, at)
-        z2 = np.conj(_one_minus_exp(p.theta2, at))
-        base1 = _cpow(_one_minus_exp(p.theta1, np.array(0.0)), p.alpha)
-        base2 = _cpow(np.conj(_one_minus_exp(p.theta2, np.array(0.0))), p.alpha)
-        # grouped per side so the exponent vanishes identically at t = 0
-        log_g = -l1 * (_cpow(z1, p.alpha) - base1) - l2 * (_cpow(z2, p.alpha) - base2)
-    elif isinstance(p, PolylogDS):
-        s = 1.0 + p.alpha
-        li = polylog_unit(s, at)
-        z = riemann_zeta(s)
-        log_g = p.a**-p.alpha * (p.p * (li - z) + p.q * (np.conj(li) - z))
-    elif isinstance(p, TruncatedPolylogDS):
-        s = 1.0 + p.alpha
-        fin = _finite_polylog(s, at, p.m)
-        fin0 = _finite_polylog(s, 0.0, p.m)[0]
-        log_g = p.a**-p.alpha * (p.p * (fin - fin0) + p.q * (np.conj(fin) - fin0))
-    else:
-        raise DomainError(f"not a family parameter object: {p!r}")
-
-    g = np.exp(log_g)
+    g = np.exp(_family(p)._log_cf(np.atleast_1d(t_arr) * p.a))
     return complex(g[0]) if scalar else g.reshape(t_arr.shape)
 
 
@@ -375,94 +518,17 @@ def stable_cf(s: StableParams, t, symmetric: bool = False) -> np.ndarray:
     return complex(g[0]) if scalar else g.reshape(t_arr.shape)
 
 
-# ---------------------------------------------------------------------------
-# compound-Poisson decomposition
-# ---------------------------------------------------------------------------
-
-
 def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
-    """(Lambda, h) with char_fn(p, t) = exp(-Lambda (1 - h(t))) identically."""
-    if isinstance(p, SymmetricDS):
-        lam = 2.0 * _intensities(p)[0]
-        gamma = p.gamma
-        a = p.a
+    """(Lambda, h) with char_fn(p, t) = exp(-Lambda (1 - h(t))).
 
-        def h(t):
-            return 1.0 - (2.0 * np.sin(0.5 * a * np.asarray(t, dtype=float)) ** 2) ** gamma + 0.0j
+    h = 1 + log CF / Lambda, and h(0) = 1 because every log CF vanishes at 0.
+    """
+    lam = _family(p)._total_intensity()
 
-        return CompoundPoissonView(lam, h)
+    def h(t):
+        return 1.0 + p._log_cf(p.a * np.asarray(t, dtype=float)) / lam
 
-    if isinstance(p, TruncatedSDS):
-        w = _sibuya_weights(p.gamma, p.m)
-        w_total = float(_cos_poly(w, np.array(1.0)))
-        lam = p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
-        a = p.a
-
-        def h(t):
-            c = np.cos(a * np.asarray(t, dtype=float))
-            return _cos_poly(w, c) / w_total + 0.0j
-
-        return CompoundPoissonView(lam * w_total, h)
-
-    if isinstance(p, DiscreteStable):
-        l1, l2 = _intensities(p)
-        lam = l1 + l2
-        alpha, a = p.alpha, p.a
-
-        def h(t):
-            at = a * np.asarray(t, dtype=float)
-            z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)
-            return 1.0 - (l1 * _cpow(z, alpha) + l2 * _cpow(np.conj(z), alpha)) / lam
-
-        return CompoundPoissonView(lam, h)
-
-    if isinstance(p, TemperedDS):
-        l1, l2 = _intensities(p)
-        alpha, a, th1, th2 = p.alpha, p.a, p.theta1, p.theta2
-        base1 = complex(_cpow(_one_minus_exp(th1, np.array(0.0)), alpha))
-        base2 = complex(_cpow(np.conj(_one_minus_exp(th2, np.array(0.0))), alpha))
-        lam = l1 * (1.0 - base1.real) + l2 * (1.0 - base2.real)
-
-        def h(t):
-            at = a * np.asarray(t, dtype=float)
-            side1 = l1 * (1.0 - _cpow(_one_minus_exp(th1, at), alpha))
-            side2 = l2 * (1.0 - _cpow(np.conj(_one_minus_exp(th2, at)), alpha))
-            return (side1 + side2) / lam
-
-        return CompoundPoissonView(lam, h)
-
-    if isinstance(p, PolylogDS):
-        l1, l2 = _intensities(p)
-        lam = l1 + l2
-        s, a = 1.0 + p.alpha, p.a
-        z = riemann_zeta(s)
-        pp, qq = p.p, p.q
-
-        def h(t):
-            li = polylog_unit(s, a * np.asarray(t, dtype=float))
-            return (pp * li + qq * np.conj(li)) / ((pp + qq) * z)
-
-        return CompoundPoissonView(lam, h)
-
-    if isinstance(p, TruncatedPolylogDS):
-        l1, l2 = _intensities(p)
-        lam = l1 + l2
-        s, a, m = 1.0 + p.alpha, p.a, p.m
-        h_m = float(np.real(_finite_polylog(s, 0.0, m)[0]))
-        pp, qq = p.p, p.q
-
-        def h(t):
-            fin = _finite_polylog(s, a * np.asarray(t, dtype=float), m)
-            return (pp * fin + qq * np.conj(fin)) / ((pp + qq) * h_m)
-
-        return CompoundPoissonView(lam, h)
-
-    raise DomainError(f"not a family parameter object: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# Levy measure and targets
-# ---------------------------------------------------------------------------
+    return CompoundPoissonView(lam, h)
 
 
 def levy_weight(p: FamilyParams, k) -> float:
@@ -476,28 +542,7 @@ def levy_weight(p: FamilyParams, k) -> float:
     k = int(k)
     if k == 0:
         raise DomainError("the Levy measure has no mass at 0")
-    if isinstance(p, (SymmetricDS, TruncatedSDS)):
-        raise DomainError(
-            "symmetric-walk families have no closed-form Levy weights; "
-            "use symmetric_levy_weights"
-        )
-    if isinstance(p, DiscreteStable):
-        l1, l2 = _intensities(p)
-        return l1 * sibuya_pmf(p.alpha, k) if k > 0 else l2 * sibuya_pmf(p.alpha, -k)
-    if isinstance(p, TemperedDS):
-        l1, l2 = _intensities(p)
-        if k > 0:
-            return l1 * sibuya_pmf(p.alpha, k) * math.exp(-p.theta1 * k)
-        return l2 * sibuya_pmf(p.alpha, -k) * math.exp(-p.theta2 * -k)
-    if isinstance(p, PolylogDS):
-        side = p.p if k > 0 else p.q
-        return side * p.a**-p.alpha * float(abs(k)) ** -(1.0 + p.alpha)
-    if isinstance(p, TruncatedPolylogDS):
-        if abs(k) > p.m:
-            return 0.0
-        side = p.p if k > 0 else p.q
-        return side * p.a**-p.alpha * float(abs(k)) ** -(1.0 + p.alpha)
-    raise DomainError(f"not a family parameter object: {p!r}")
+    return _family(p)._levy_weight(k)
 
 
 def symmetric_levy_weights(p: SymmetricDS, k_max: int, terms: int = 2048) -> np.ndarray:
@@ -512,7 +557,7 @@ def symmetric_levy_weights(p: SymmetricDS, k_max: int, terms: int = 2048) -> np.
         raise DomainError("k_max and terms must be >= 1")
     from scipy.stats import binom as _binom
 
-    lam = 2.0 * _intensities(p)[0]
+    lam = p._total_intensity()
     w = _sibuya_weights(p.gamma, terms)
     out = np.zeros(k_max)
     ks = np.arange(1, k_max + 1)
@@ -532,23 +577,4 @@ def symmetric_levy_weights(p: SymmetricDS, k_max: int, terms: int = 2048) -> np.
 
 def target_stable(p: FamilyParams) -> AttractionTarget:
     """The stable law the family approaches as a -> 0, plus the Gaussian flag."""
-    if isinstance(p, SymmetricDS):
-        return AttractionTarget(
-            StableParams(2.0 * p.gamma, 0.0, p.sigma), gaussian=p.gamma == 1.0
-        )
-    if isinstance(p, TruncatedSDS):
-        return AttractionTarget(StableParams(2.0 * p.gamma, 0.0, p.sigma), gaussian=True)
-    if isinstance(p, DiscreteStable):
-        return AttractionTarget(StableParams(p.alpha, p.beta, p.sigma), gaussian=False)
-    if isinstance(p, TemperedDS):
-        return AttractionTarget(StableParams(p.alpha, p.beta, p.sigma), gaussian=True)
-    if isinstance(p, (PolylogDS, TruncatedPolylogDS)):
-        truncated = isinstance(p, TruncatedPolylogDS)
-        if p.alpha >= 2.0:
-            return AttractionTarget(None, gaussian=True)
-        # scale from Levy-tail matching: sigma^alpha = (P+Q) pi / (2 alpha sin(pi alpha/2) Gamma(alpha))
-        c = math.pi / (2.0 * p.alpha * math.sin(0.5 * math.pi * p.alpha) * math.gamma(p.alpha))
-        sigma = ((p.p + p.q) * c) ** (1.0 / p.alpha)
-        beta = (p.p - p.q) / (p.p + p.q)
-        return AttractionTarget(StableParams(p.alpha, beta, sigma), gaussian=truncated)
-    raise DomainError(f"not a family parameter object: {p!r}")
+    return _family(p)._target()

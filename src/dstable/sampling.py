@@ -1,5 +1,9 @@
 """Exact samplers for the lattice families and their jump laws.
 
+This module holds the generic samplers (Poisson, Sibuya, tempered Sibuya,
+zeta) and the compound-Poisson sum; each family class in `families` draws
+its own jumps from them, so no family is named here.
+
 Everything is driven by RngState, a splittable deterministic stream: the same
 seed and call sequence produce the same draws on every platform, and batch
 generation splits child streams by batch index so the output is independent
@@ -14,19 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import gammaln
 
+from . import families
 from .errors import DomainError, PrecisionError
-from .families import (
-    DiscreteStable,
-    FamilyParams,
-    PolylogDS,
-    SymmetricDS,
-    TemperedDS,
-    TruncatedPolylogDS,
-    TruncatedSDS,
-    _sibuya_weights,
-    compound_poisson_view,
-    derived_intensities,
-)
 from .special import _check_index
 
 __all__ = [
@@ -295,56 +288,18 @@ def _rademacher_sum(k: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return 2 * gen.binomial(k, 0.5).astype(np.int64) - k.astype(np.int64)
 
 
-def _sample_jumps(p: FamilyParams, rng: RngState, count: int) -> np.ndarray:
+def _sample_jumps(p: families.FamilyParams, rng: RngState, count: int) -> np.ndarray:
     """`count` independent jumps of the compound-Poisson representation.
 
     Returned in integer lattice units (multiples of a): summing in int64 and
     scaling by a once keeps every sample bit-exact on the PMF's lattice —
     accumulating float multiples of a fractional pitch would drift off it.
     """
-    gen = rng.generator
-    if isinstance(p, SymmetricDS):
-        k = sample_sibuya(p.gamma, rng, count)
-        return _rademacher_sum(k, gen)
-    if isinstance(p, TruncatedSDS):
-        w = _sibuya_weights(p.gamma, p.m)
-        cdf = np.cumsum(w) / w.sum()
-        k = np.minimum(np.searchsorted(cdf, gen.random(count), side="right"), p.m - 1) + 1
-        steps = _rademacher_sum(k.astype(np.int64), gen)
-        if np.any(np.abs(steps) > p.m):  # jumps never exceed a*m by construction
-            raise PrecisionError(f"TruncatedSDS jump beyond its support a*m, m = {p.m}")
-        return steps
-    if isinstance(p, DiscreteStable):
-        l1, l2 = derived_intensities(p)
-        sign = _signs(l1 / (l1 + l2), gen, count)
-        return sign * sample_sibuya(p.alpha, rng, count)
-    if isinstance(p, TemperedDS):
-        l1, l2 = derived_intensities(p)
-        lam1 = l1 * (1.0 - (1.0 - math.exp(-p.theta1)) ** p.alpha)
-        lam2 = l2 * (1.0 - (1.0 - math.exp(-p.theta2)) ** p.alpha)
-        pos = gen.random(count) < lam1 / (lam1 + lam2)
-        mag = np.empty(count, dtype=np.int64)
-        n_pos = int(pos.sum())
-        for side_mask, theta, n_side in ((pos, p.theta1, n_pos),
-                                         (~pos, p.theta2, count - n_pos)):
-            if n_side == 0:
-                continue
-            if theta > 0.0:
-                mag[side_mask] = sample_tempered_sibuya(p.alpha, theta, rng, n_side)
-            else:
-                mag[side_mask] = sample_sibuya(p.alpha, rng, n_side)
-        return np.where(pos, 1, -1) * mag
-    if isinstance(p, PolylogDS):
-        sign = _signs(p.p / (p.p + p.q), gen, count)
-        return sign * sample_zeta(1.0 + p.alpha, rng, count)
-    if isinstance(p, TruncatedPolylogDS):
-        sign = _signs(p.p / (p.p + p.q), gen, count)
-        return sign * _zeta_capped(1.0 + p.alpha, p.m, rng, count)
-    raise DomainError(f"not a family parameter object: {p!r}")
+    return families._family(p)._jumps(rng, count)
 
 
-def _sample_batch(p: FamilyParams, rng: RngState, n: int) -> np.ndarray:
-    lam = compound_poisson_view(p).total_intensity
+def _sample_batch(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
+    lam = families._family(p)._total_intensity()
     counts = sample_poisson(lam, rng, n)
     total = int(counts.sum())
     if total == 0:
@@ -358,7 +313,7 @@ def _sample_batch(p: FamilyParams, rng: RngState, n: int) -> np.ndarray:
     return p.a * sums
 
 
-def sample_family(p: FamilyParams, rng: RngState, size=None, threads: int = 1):
+def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: int = 1):
     """Draws from the family's law: a Poisson number of jumps, summed.
 
     Batches of 2^16 samples each run on independent child streams keyed by

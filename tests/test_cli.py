@@ -4,10 +4,14 @@ agreement with the library calls, determinism, and exit codes."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dstable
 from dstable.analysis import cf_distance, tail_check
 from dstable.cli import _write_table, main
 from dstable.families import SymmetricDS, TruncatedSDS, char_fn
@@ -141,6 +145,15 @@ def test_sample_values_sit_on_lattice(capsys):
     assert np.array_equal(vals, 0.1 * np.round(vals / 0.1))
 
 
+def test_sample_gaussian_limit_symmetric(capsys):
+    rc, out, err = _run(capsys, ["sample", "sds", "--gamma", "1", "--sigma", "1",
+                                 "--a", "1", "--size", "5"])
+    assert rc == 0 and err == ""
+    _, header, rows = _parse_csv(out)
+    assert header == ["value"] and len(rows) == 5
+    assert all(float(r[0]) == round(float(r[0])) for r in rows)
+
+
 def test_sample_rejects_bad_requests(capsys):
     base = ["sample"] + SDS_FLAGS
     rc, _, _ = _run(capsys, base + ["--size", "-1"])
@@ -265,6 +278,21 @@ def test_help_exits_cleanly(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "{cf,pmf,sample,tails,converge,prelimit}" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_quietly():
+    # `dstable cf ... | head -1`: the reader leaves early; no traceback, exit 0
+    src = os.path.dirname(os.path.dirname(dstable.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "dstable.cli", "cf"] + SDS_FLAGS + ["--points", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"# family=sds\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -25,7 +25,9 @@ from dstable.families import (
     symmetric_levy_weights,
     target_stable,
 )
-from dstable.special import riemann_zeta, sibuya_pmf, sibuya_survival
+from dstable.families import _cos_poly, _cpow, _finite_polylog, _one_minus_exp, _sibuya_weights
+from dstable.sampling import RngState, sample_family
+from dstable.special import polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
 
 ZETA2 = 1.6449340668482264365  # zeta(2)
 
@@ -68,33 +70,38 @@ def any_family(draw):
 # parameter validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [
-    lambda: SymmetricDS(0.0, 1.0, 1.0),
-    lambda: SymmetricDS(1.2, 1.0, 1.0),
-    lambda: SymmetricDS(0.5, 0.0, 1.0),
-    lambda: SymmetricDS(0.5, 1.0, 0.0),
-    lambda: SymmetricDS(math.nan, 1.0, 1.0),
-    lambda: TruncatedSDS(0.5, 1.0, 1.0, 0),
-    lambda: TruncatedSDS(0.5, 1.0, 1.0, 1.5),
-    lambda: TruncatedSDS(0.5, 1.0, 1.0, True),
-    lambda: DiscreteStable(1.0, 0.0, 1.0, 1.0),
-    lambda: DiscreteStable(0.0, 0.0, 1.0, 1.0),
-    lambda: DiscreteStable(0.5, 1.5, 1.0, 1.0),
-    lambda: DiscreteStable(0.5, 0.0, -1.0, 1.0),
-    lambda: TemperedDS(0.5, 0.0, 1.0, 1.0, 0.0, 0.0),
-    lambda: TemperedDS(0.5, 0.0, 1.0, 1.0, -0.1, 1.0),
-    lambda: TemperedDS(1.0, 0.0, 1.0, 1.0, 0.5, 0.5),
-    lambda: PolylogDS(0.0, 1.0, 1.0, 1.0),
-    lambda: PolylogDS(0.8, 0.0, 0.0, 1.0),
-    lambda: PolylogDS(0.8, -0.5, 1.0, 1.0),
-    lambda: PolylogDS(0.8, 1.0, 1.0, 0.0),
-    lambda: TruncatedPolylogDS(0.8, 1.0, 1.0, 1.0, 0),
-    lambda: StableParams(2.5, 0.0, 1.0),
-    lambda: StableParams(1.0, -1.01, 1.0),
-    lambda: StableParams(1.0, 0.0, 0.0),
-])
+# (constructor call, start of the message it must raise)
+_INVALID = [
+    (lambda: SymmetricDS(0.0, 1.0, 1.0), "gamma must be in"),
+    (lambda: SymmetricDS(1.2, 1.0, 1.0), "gamma must be in"),
+    (lambda: SymmetricDS(0.5, 0.0, 1.0), "sigma must be > 0"),
+    (lambda: SymmetricDS(0.5, 1.0, 0.0), "a must be > 0"),
+    (lambda: SymmetricDS(math.nan, 1.0, 1.0), "gamma must be in"),
+    (lambda: TruncatedSDS(0.5, 1.0, 1.0, 0), "m must be an integer"),
+    (lambda: TruncatedSDS(0.5, 1.0, 1.0, 1.5), "m must be an integer"),
+    (lambda: TruncatedSDS(0.5, 1.0, 1.0, True), "m must be an integer"),
+    (lambda: DiscreteStable(1.0, 0.0, 1.0, 1.0), "alpha must be in"),
+    (lambda: DiscreteStable(0.0, 0.0, 1.0, 1.0), "alpha must be in"),
+    (lambda: DiscreteStable(0.5, 1.5, 1.0, 1.0), "beta must be in"),
+    (lambda: DiscreteStable(0.5, 0.0, -1.0, 1.0), "sigma must be > 0"),
+    (lambda: TemperedDS(0.5, 0.0, 1.0, 1.0, 0.0, 0.0), r"theta1 \+ theta2 must be > 0"),
+    (lambda: TemperedDS(0.5, 0.0, 1.0, 1.0, -0.1, 1.0), "theta1 must be >= 0"),
+    (lambda: TemperedDS(1.0, 0.0, 1.0, 1.0, 0.5, 0.5), "alpha must be in"),
+    (lambda: PolylogDS(0.0, 1.0, 1.0, 1.0), "alpha must be > 0"),
+    (lambda: PolylogDS(0.8, 0.0, 0.0, 1.0), r"P \+ Q must be > 0"),
+    (lambda: PolylogDS(0.8, -0.5, 1.0, 1.0), "P must be >= 0"),
+    (lambda: PolylogDS(0.8, 1.0, 1.0, 0.0), "a must be > 0"),
+    (lambda: TruncatedPolylogDS(0.8, 1.0, 1.0, 1.0, 0), "m must be an integer"),
+    (lambda: StableParams(2.5, 0.0, 1.0), "alpha must be in"),
+    (lambda: StableParams(1.0, -1.01, 1.0), "beta must be in"),
+    (lambda: StableParams(1.0, 0.0, 0.0), "sigma must be > 0"),
+]
+
+
+@pytest.mark.parametrize("bad", [bad for bad, _ in _INVALID])
 def test_invalid_params_rejected(bad):
-    with pytest.raises(DomainError):
+    # the message names the offending parameter, as the CLI flag spells it
+    with pytest.raises(DomainError, match="^" + dict(_INVALID)[bad]):
         bad()
 
 
@@ -161,15 +168,49 @@ def test_cf_properties_random_families(p):
 # compound-Poisson view: the triangle identity
 # ---------------------------------------------------------------------------
 
+def _jump_cf_reference(p, t):
+    """Single-jump CF h(t) of each family, written from its jump law.
+
+    The library derives h from the log CF; this oracle builds it from each
+    family's own jump weights, so exp(-Lambda (1 - h)) = char_fn is a check
+    between two formulas rather than of one formula against itself.
+    """
+    at = p.a * np.asarray(t, dtype=float)
+    if isinstance(p, SymmetricDS):
+        return 1.0 - (2.0 * np.sin(0.5 * at) ** 2) ** p.gamma + 0.0j
+    if isinstance(p, TruncatedSDS):
+        w = _sibuya_weights(p.gamma, p.m)
+        return _cos_poly(w, np.cos(at)) / float(_cos_poly(w, np.array(1.0))) + 0.0j
+    if isinstance(p, DiscreteStable):
+        l1, l2 = derived_intensities(p)
+        z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)
+        return 1.0 - (l1 * _cpow(z, p.alpha) + l2 * _cpow(np.conj(z), p.alpha)) / (l1 + l2)
+    if isinstance(p, TemperedDS):
+        l1, l2 = derived_intensities(p)
+        base1 = complex(_cpow(_one_minus_exp(p.theta1, np.array(0.0)), p.alpha))
+        base2 = complex(_cpow(np.conj(_one_minus_exp(p.theta2, np.array(0.0))), p.alpha))
+        lam = l1 * (1.0 - base1.real) + l2 * (1.0 - base2.real)
+        side1 = l1 * (1.0 - _cpow(_one_minus_exp(p.theta1, at), p.alpha))
+        side2 = l2 * (1.0 - _cpow(np.conj(_one_minus_exp(p.theta2, at)), p.alpha))
+        return (side1 + side2) / lam
+    if isinstance(p, PolylogDS):
+        li = polylog_unit(1.0 + p.alpha, at)
+        return (p.p * li + p.q * np.conj(li)) / ((p.p + p.q) * riemann_zeta(1.0 + p.alpha))
+    fin = _finite_polylog(1.0 + p.alpha, at, p.m)
+    h_m = float(np.real(_finite_polylog(1.0 + p.alpha, 0.0, p.m)[0]))
+    return (p.p * fin + p.q * np.conj(fin)) / ((p.p + p.q) * h_m)
+
+
 @pytest.mark.parametrize("p", FIXED_FAMILIES, ids=lambda p: type(p).__name__)
 def test_triangle_identity_fixed(p):
     t = np.linspace(-math.pi / p.a, math.pi / p.a, 1001)
     v = compound_poisson_view(p)
     assert isinstance(v, CompoundPoissonView)
     assert v.total_intensity > 0.0
-    rebuilt = np.exp(-v.total_intensity * (1.0 - v.jump_cf(t)))
+    rebuilt = np.exp(-v.total_intensity * (1.0 - _jump_cf_reference(p, t)))
     assert np.max(np.abs(char_fn(p, t) - rebuilt)) < 1e-10
-    # the jump CF itself is a CF: h(0) = 1, |h| <= 1
+    # the derived jump CF is the jump law's CF: h(0) = 1, |h| <= 1
+    assert np.max(np.abs(v.jump_cf(t) - _jump_cf_reference(p, t))) < 1e-12
     assert abs(complex(v.jump_cf(np.array([0.0]))[0]) - 1.0) < 1e-12
     assert np.all(np.abs(v.jump_cf(t)) <= 1.0 + 1e-12)
 
@@ -179,8 +220,17 @@ def test_triangle_identity_fixed(p):
 def test_triangle_identity_random(p):
     t = np.linspace(-math.pi / p.a, math.pi / p.a, 101)
     v = compound_poisson_view(p)
-    rebuilt = np.exp(-v.total_intensity * (1.0 - v.jump_cf(t)))
+    rebuilt = np.exp(-v.total_intensity * (1.0 - _jump_cf_reference(p, t)))
     assert np.max(np.abs(char_fn(p, t) - rebuilt)) < 1e-10
+
+
+def test_dispatchers_reject_non_family_objects():
+    s = StableParams(0.5, 0.0, 1.0)
+    for call in (lambda: char_fn(s, 1.0), lambda: compound_poisson_view(s),
+                 lambda: derived_intensities(s), lambda: levy_weight(s, 1),
+                 lambda: target_stable(s), lambda: sample_family(s, RngState(0), 10)):
+        with pytest.raises(DomainError, match="not a family parameter object"):
+            call()
 
 
 # ---------------------------------------------------------------------------

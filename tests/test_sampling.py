@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import ive
 from hypothesis import strategies as st
 
 from dstable.analysis import binned_tv
@@ -270,6 +271,11 @@ class TestJumps:
             j = _sample_jumps(p, RngState(74), 50_000)
             assert np.all(j != 0)
 
+    def test_gaussian_limit_symmetric_steps_are_unit(self):
+        # gamma = 1: Sibuya(1) is the point mass at K = 1, a single +-1 step
+        j = _sample_jumps(SymmetricDS(1.0, 1.0, 1.0), RngState(76), 100_000)
+        assert set(np.unique(j)) == {-1, 1}
+
     def test_truncated_polylog_cap(self):
         p = TruncatedPolylogDS(0.6, 1.0, 3.0, 1.0, 16)
         j = _sample_jumps(p, RngState(75), 100_000)
@@ -359,6 +365,14 @@ class TestAgreement:
         emp = np.mean(x == 0.0)
         sd = math.sqrt(p0 * (1.0 - p0) / x.size)
         assert abs(emp - p0) < 4.0 * sd + 1e-9
+
+    def test_gaussian_limit_symmetric_matches_bessel_masses(self):
+        # SymmetricDS(1, 1, 1) has masses e^{-2} I_|k|(2), as in test_02
+        x = sample_family(SymmetricDS(1.0, 1.0, 1.0), RngState(12), size=200_000)
+        for k in range(-8, 9):
+            want = float(ive(abs(k), 2.0))
+            sd = math.sqrt(want * (1.0 - want) / x.size)
+            assert abs(np.mean(x == k) - want) < 4.0 * sd + 1e-9, f"k={k}"
 
     def test_total_intensity_consistency(self, family_draws):
         # P(no jumps) = e^{-Lambda} <= P(X=0); both computable
