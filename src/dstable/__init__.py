@@ -51,7 +51,6 @@ from .sampling import (
 )
 from .special import (
     gen_binomial,
-    log_gamma,
     polylog_unit,
     riemann_zeta,
     sibuya_pmf,
@@ -86,7 +85,6 @@ __all__ = [
     "target_stable",
     # special functions
     "gen_binomial",
-    "log_gamma",
     "polylog_unit",
     "riemann_zeta",
     "sibuya_pmf",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
+from .special import _finite_polylog, polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
 
 __all__ = [
     "StableParams",
@@ -173,17 +173,6 @@ def _cpow(z: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(alpha * np.log(z))
     return np.where(z == 0, 0.0 + 0.0j, out)
-
-
-def _finite_polylog(s: float, theta, m: int) -> np.ndarray:
-    """sum_{k=1}^{m} e^{i k theta} k^{-s}, vectorized over theta."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.zeros(th.shape, dtype=complex)
-    block = max(1, (1 << 20) // max(th.size, 1))
-    for lo in range(0, m, block):
-        k = np.arange(lo + 1.0, min(lo + block, m) + 1.0)
-        out += np.exp(1j * th[..., None] * k) @ (k**-s).astype(complex)
-    return out
 
 
 def _walk_rate(p) -> float:

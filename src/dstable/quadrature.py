@@ -1,12 +1,8 @@
-"""Double-exponential quadrature rules used by the special functions and CDF inversion.
+"""Double-exponential (tanh-sinh) quadrature for the CDF inversion.
 
-Two rules live here:
-
-* ``tanh_sinh`` -- adaptive integration on a finite interval, robust to integrable
-  endpoint singularities (the CDF inversion integrand blows up like t**(alpha-1) at 0).
-* ``exp_sinh_rule`` -- a fixed node/weight table for integrals over (0, inf) whose
-  integrand decays at least algebraically; used for the oscillatory-tail integral of
-  the unit-circle polylogarithm after contour rotation.
+``tanh_sinh`` integrates adaptively on a finite interval and is robust to
+integrable endpoint singularities (the CDF inversion integrand blows up like
+t**(alpha-1) at 0).
 """
 
 from __future__ import annotations
@@ -74,16 +70,3 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
         f"tanh-sinh quadrature did not reach tol={tol:g} after {max_level} doublings"
     )
 
-
-def exp_sinh_rule(h: float = 1.0 / 12.0, t_lo: float = -3.95, t_hi: float = 6.78):
-    """Fixed exp-sinh nodes/weights for ``int_0^inf g(u) du`` with u = exp((pi/2) sinh t).
-
-    Returns ``(u, w)`` with ``sum(w * g(u))`` approximating the integral, provided
-    g decays algebraically faster than 1/u (times any exponential).  The upper
-    cutoff keeps u inside float64 range (u_max ~ 1e300).
-    """
-    t = np.arange(t_lo, t_hi + 0.5 * h, h)
-    z = 0.5 * np.pi * np.sinh(t)
-    u = np.exp(z)
-    w = h * 0.5 * np.pi * np.cosh(t) * u
-    return u, w

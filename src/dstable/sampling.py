@@ -323,6 +323,7 @@ def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: i
     threads = _check_index(threads, "threads")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads!r}")
+    families._family(p)
     n = 1 if size is None else _as_count(size)
     if n == 0:
         return np.empty(0)

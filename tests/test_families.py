@@ -228,7 +228,8 @@ def test_dispatchers_reject_non_family_objects():
     s = StableParams(0.5, 0.0, 1.0)
     for call in (lambda: char_fn(s, 1.0), lambda: compound_poisson_view(s),
                  lambda: derived_intensities(s), lambda: levy_weight(s, 1),
-                 lambda: target_stable(s), lambda: sample_family(s, RngState(0), 10)):
+                 lambda: target_stable(s), lambda: sample_family(s, RngState(0), 10),
+                 lambda: sample_family(s, RngState(0), 0)):
         with pytest.raises(DomainError, match="not a family parameter object"):
             call()
 
