@@ -45,6 +45,9 @@ _FAMILIES = {
 _PARAM_FLAGS = ("gamma", "sigma", "a", "m", "alpha", "beta", "theta1",
                 "theta2", "P", "Q")
 
+# CSV rows are formatted column by column, this many rows at a time
+_CSV_BLOCK = 1 << 16
+
 
 def _add_family_arguments(sub):
     sub.add_argument("family", choices=sorted(_FAMILIES),
@@ -107,21 +110,31 @@ def _json_value(v):
     return v
 
 
-def _write_table(stream, fmt: str, meta: dict, columns, rows) -> None:
+def _column_text(col) -> list:
+    """A table column as CSV fields: floats as %.17g, as _fmt writes them."""
+    col = np.asarray(col)
+    fmt = "{:.17g}".format if col.dtype.kind == "f" else str
+    return list(map(fmt, col.tolist()))
+
+
+def _write_table(stream, fmt: str, meta: dict, names, columns) -> None:
+    """Write one table, given as one sequence per column, as CSV or JSON."""
     if fmt == "json":
         payload = {
             "meta": {k: _json_value(v) for k, v in meta.items()},
-            "columns": list(columns),
-            "rows": [[_json_value(v) for v in row] for row in rows],
+            "columns": list(names),
+            "rows": [list(row) for row in zip(*(
+                map(_json_value, np.asarray(col).tolist()) for col in columns))],
         }
         json.dump(payload, stream, indent=2)
         stream.write("\n")
         return
     for k, v in meta.items():
         stream.write(f"# {k}={_fmt(v)}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    stream.write(",".join(names) + "\n")
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        fields = [_column_text(col[lo:lo + _CSV_BLOCK]) for col in columns]
+        stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def _family_meta(args) -> dict:
@@ -145,8 +158,7 @@ def _cmd_cf(args):
     t = np.linspace(-args.t_max, args.t_max, args.points)
     vals = char_fn(p, t)
     meta = _family_meta(args) | {"t_max": args.t_max, "points": args.points}
-    rows = [(ti, vi.real, vi.imag) for ti, vi in zip(t, vals)]
-    return meta, ("t", "real", "imag"), rows
+    return meta, ("t", "real", "imag"), (t, vals.real, vals.imag)
 
 
 def _cmd_pmf(args):
@@ -162,8 +174,7 @@ def _cmd_pmf(args):
         "n": masses.size,
         "alias_bound": pmf.alias_bound,
     }
-    rows = [(int(k), k * p.a, m) for k, m in zip(ks, masses)]
-    return meta, ("k", "x", "mass"), rows
+    return meta, ("k", "x", "mass"), (ks, ks * p.a, masses)
 
 
 def _cmd_sample(args):
@@ -173,7 +184,7 @@ def _cmd_sample(args):
     rng = RngState(args.seed)
     draws = sample_family(p, rng, args.size, threads=_resolve_threads(args))
     meta = _family_meta(args) | {"size": args.size, "seed": args.seed}
-    return meta, ("value",), [(v,) for v in draws]
+    return meta, ("value",), (draws,)
 
 
 def _cmd_tails(args):
@@ -195,8 +206,7 @@ def _cmd_tails(args):
         "decay_exponent": report.decay_exponent,
         "super_linear": report.super_linear,
     }
-    rows = list(zip(report.x_grid, report.scaled_tail))
-    return meta, ("x", "scaled_tail"), rows
+    return meta, ("x", "scaled_tail"), (report.x_grid, report.scaled_tail)
 
 
 def _cmd_converge(args):
@@ -205,14 +215,14 @@ def _cmd_converge(args):
     pitches = [float(s) for s in args.pitches.split(",") if s.strip()]
     if not pitches:
         raise DomainError("--pitches must list at least one pitch")
-    rows = []
+    distances = []
     for a in pitches:
         args.a = a
         p = _build_family(args)
-        rows.append((a, cf_distance(p, args.t_max, points=args.points)))
+        distances.append(cf_distance(p, args.t_max, points=args.points))
     args.a = None
     meta = _family_meta(args) | {"t_max": args.t_max, "points": args.points}
-    return meta, ("pitch", "sup_distance"), rows
+    return meta, ("pitch", "sup_distance"), (pitches, distances)
 
 
 def _cmd_prelimit(args):
@@ -221,9 +231,9 @@ def _cmd_prelimit(args):
     report = prelimit_experiment(p, n_values, reps=args.reps, seed=args.seed,
                                  threads=_resolve_threads(args))
     meta = _family_meta(args) | {"reps": args.reps, "seed": args.seed}
-    rows = list(zip(report.n_values.tolist(), report.ks_to_stable,
-                    report.ks_to_gaussian, report.predicted_sum_variance))
-    return meta, ("n", "ks_stable", "ks_gaussian", "predicted_sum_variance"), rows
+    columns = (report.n_values, report.ks_to_stable, report.ks_to_gaussian,
+               report.predicted_sum_variance)
+    return meta, ("n", "ks_stable", "ks_gaussian", "predicted_sum_variance"), columns
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        meta, columns, rows = args.run(args)
+        meta, names, columns = args.run(args)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -305,10 +315,10 @@ def main(argv=None) -> int:
         return 3
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_table(fh, args.format, meta, columns, rows)
+            _write_table(fh, args.format, meta, names, columns)
     else:
         try:
-            _write_table(sys.stdout, args.format, meta, columns, rows)
+            _write_table(sys.stdout, args.format, meta, names, columns)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader closed the pipe (as `| head` does): the rest is unwanted;

@@ -346,10 +346,14 @@ class TemperedDS:
         z2 = np.conj(_one_minus_exp(self.theta2, np.array(0.0)))
         return complex(_cpow(z1, self.alpha)), complex(_cpow(z2, self.alpha))
 
-    def _total_intensity(self) -> float:
+    def _side_rates(self):
+        """Jump rates of the two sides, l_i (1 - (1 - e^{-theta_i})^alpha)."""
         l1, l2 = self._intensities()
         base1, base2 = self._bases()
-        return l1 * (1.0 - base1.real) + l2 * (1.0 - base2.real)
+        return l1 * (1.0 - base1.real), l2 * (1.0 - base2.real)
+
+    def _total_intensity(self) -> float:
+        return sum(self._side_rates())
 
     def _log_cf(self, at):
         l1, l2 = self._intensities()
@@ -369,21 +373,15 @@ class TemperedDS:
         return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma), gaussian=True)
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        gen = rng.generator
-        l1, l2 = self._intensities()
-        lam1 = l1 * (1.0 - (1.0 - math.exp(-self.theta1)) ** self.alpha)
-        lam2 = l2 * (1.0 - (1.0 - math.exp(-self.theta2)) ** self.alpha)
-        pos = gen.random(count) < lam1 / (lam1 + lam2)
+        lam1, lam2 = self._side_rates()
+        pos = rng.generator.random(count) < lam1 / (lam1 + lam2)
         mag = np.empty(count, dtype=np.int64)
-        n_pos = int(pos.sum())
-        for side_mask, theta, n_side in ((pos, self.theta1, n_pos),
-                                         (~pos, self.theta2, count - n_pos)):
-            if n_side == 0:
-                continue
+        for side, theta in ((pos, self.theta1), (~pos, self.theta2)):
+            n_side = int(side.sum())
             if theta > 0.0:
-                mag[side_mask] = sampling.sample_tempered_sibuya(self.alpha, theta, rng, n_side)
+                mag[side] = sampling.sample_tempered_sibuya(self.alpha, theta, rng, n_side)
             else:
-                mag[side_mask] = sampling.sample_sibuya(self.alpha, rng, n_side)
+                mag[side] = sampling.sample_sibuya(self.alpha, rng, n_side)
         return np.where(pos, 1, -1) * mag
 
 
@@ -415,7 +413,11 @@ class PolylogDS:
 
     def _jumps(self, rng, count: int) -> np.ndarray:
         sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
-        return sign * sampling.sample_zeta(1.0 + self.alpha, rng, count)
+        k = sampling.sample_zeta(1.0 + self.alpha, rng, count)
+        # numpy's zipf stops at about 2^63, so a draw of 2^62 or more shows
+        # that the cut drops mass of the law
+        sampling._check_range(k, "zeta")
+        return sign * k
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Exact samplers for the lattice families and their jump laws.
 
 This module holds the generic samplers (Poisson, Sibuya, tempered Sibuya,
-zeta) and the compound-Poisson sum; each family class in `families` draws
-its own jumps from them, so no family is named here.
+zeta), thin calls into numpy's Generator, and the compound-Poisson sum; each
+family class in `families` draws its own jumps from them, so no family is
+named here. Draws are int64 lattice steps: a jump or a draw of 2^62 or more,
+or a Poisson rate above numpy's range, raises PrecisionError rather than wrap.
 
 Everything is driven by RngState, a splittable deterministic stream: the same
 seed and call sequence produce the same draws on every platform, and batch
@@ -16,7 +18,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import families
 from .errors import DomainError, PrecisionError
@@ -34,7 +35,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BATCH = 1 << 16
-_POISSON_SWITCH = 30.0
+# draws, and a draw's sum of jumps in lattice steps, must stay below 2^62
+_INT_LIMIT = 1 << 62
+# the largest rate numpy's Generator.poisson accepts
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _splitmix64(x: int) -> int:
@@ -56,35 +60,28 @@ class RngState:
     __slots__ = ("_base", "_gen")
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
-        seed = int(seed)
+        seed = _check_index(seed, "seed")
         if not 0 <= seed <= _MASK64:
             raise DomainError("seed must fit in 64 bits")
-        self._base = _splitmix64(seed)
-        key = self._base | (_splitmix64(self._base) << 64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key(_splitmix64(seed))
+
+    def _key(self, base: int) -> None:
+        self._base = base
+        self._gen = np.random.Generator(np.random.Philox(key=base | (_splitmix64(base) << 64)))
 
     @classmethod
     def _from_base(cls, base: int) -> "RngState":
         out = cls.__new__(cls)
-        out._base = base
-        key = base | (_splitmix64(base) << 64)
-        out._gen = np.random.Generator(np.random.Philox(key=key))
+        out._key(base)
         return out
 
     def split(self, child_index: int) -> "RngState":
         """Independent child stream number `child_index`; does not advance self."""
-        if isinstance(child_index, bool) or not isinstance(child_index, (int, np.integer)):
-            raise DomainError(f"child_index must be an integer, got {child_index!r}")
+        child_index = _check_index(child_index, "child_index")
         if child_index < 0:
             raise DomainError("child_index must be >= 0")
-        mixed = (self._base ^ ((int(child_index) + 1) * _GOLDEN)) & _MASK64
+        mixed = (self._base ^ ((child_index + 1) * _GOLDEN)) & _MASK64
         return RngState._from_base(_splitmix64(mixed))
-
-    def _take_word(self) -> int:
-        """One 63-bit draw; advances this stream."""
-        return int(self._gen.integers(0, 1 << 63, dtype=np.int64))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -92,118 +89,61 @@ class RngState:
 
 
 def _as_count(size) -> int:
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise DomainError(f"size must be an integer, got {size!r}")
+    size = _check_index(size, "size")
     if size < 0:
         raise DomainError("size must be >= 0")
-    return int(size)
+    return size
 
 
 # ---------------------------------------------------------------------------
-# Poisson
+# Poisson, Sibuya, tempered Sibuya and zeta laws
 # ---------------------------------------------------------------------------
 
-def _poisson_small(rate: float, gen: np.random.Generator, n: int) -> np.ndarray:
-    """CDF-inversion Poisson for rate < 30: table to negligible tail, then search."""
-    if rate == 0.0:
-        return np.zeros(n, dtype=np.int64)
-    k_top = int(rate + 20.0 * math.sqrt(rate) + 30.0)
-    pmf = np.empty(k_top + 1)
-    pmf[0] = math.exp(-rate)
-    for k in range(1, k_top + 1):
-        pmf[k] = pmf[k - 1] * (rate / k)
-    cdf = np.cumsum(pmf)
-    u = gen.random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-def _poisson_ptrs(rate: float, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Transformed-rejection Poisson for large rates (squeeze + exact log test)."""
-    b = 0.931 + 2.53 * math.sqrt(rate)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_rate = math.log(rate)
-    out = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
-        u = gen.random(m) - 0.5
-        v = gen.random(m)
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + rate + 0.43)
-        quick = (us >= 0.07) & (v <= v_r)
-        bad = (k < 0.0) | ((us < 0.013) & (v > us))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_accept = (np.log(v * inv_alpha / (a / (us * us) + b))
-                          <= k * log_rate - rate - gammaln(k + 1.0))
-        accept = quick | (~bad & log_accept)
-        out[pending[accept]] = k[accept].astype(np.int64)
-        pending = pending[~accept]
-    return out
+def _check_range(k: np.ndarray, law: str) -> None:
+    """PrecisionError unless every draw in k is below 2^62 (NaN and inf fail too)."""
+    if k.size and not k.max() < _INT_LIMIT:
+        raise PrecisionError(f"{law} draw reaches 2^62, beyond the integer range")
 
 
 def sample_poisson(rate: float, rng: RngState, size=None):
-    """Poisson(rate) draws: CDF inversion below rate 30, transformed rejection above."""
+    """Poisson(rate) draws, by numpy's `Generator.poisson`.
+
+    Rates above numpy's range, 2^63 - 1 - 10 sqrt(2^63 - 1) (about 9.2e18),
+    raise PrecisionError.
+    """
     if not (isinstance(rate, (int, float, np.floating, np.integer))
             and math.isfinite(rate)):
         raise DomainError(f"rate must be finite, got {rate!r}")
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate!r}")
-    rate = float(rate)
+    if rate > _POISSON_MAX:
+        raise PrecisionError(f"Poisson rate {rate!r} exceeds the int64 range")
     n = 1 if size is None else _as_count(size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if rate < _POISSON_SWITCH:
-        out = _poisson_small(rate, rng.generator, n)
-    else:
-        out = _poisson_ptrs(rate, rng.generator, n)
+    out = rng.generator.poisson(float(rate), n)
     return int(out[0]) if size is None else out
 
 
-# ---------------------------------------------------------------------------
-# Sibuya and tempered Sibuya
-# ---------------------------------------------------------------------------
-
-def _sibuya_survival_vec(alpha: float, k: np.ndarray) -> np.ndarray:
-    """P(K > k) = Gamma(k+1-alpha) / (Gamma(1-alpha) Gamma(k+1)), k float array."""
-    return np.exp(gammaln(k + 1.0 - alpha) - gammaln(1.0 - alpha) - gammaln(k + 1.0))
-
-
 def sample_sibuya(alpha: float, rng: RngState, size=None):
-    """K >= 1 with P(K = k) = sibuya_pmf(alpha, k), by survival inversion.
+    """K >= 1 with P(K = k) = sibuya_pmf(alpha, k), as Geometric(W), W ~ Beta(alpha, 1 - alpha).
 
-    Doubles k until the survival drops below the uniform draw, then binary
-    searches: O(log K) closed-form survival evaluations per draw.
+    The mixture identity is exact (Devroye 1993, "A triptych of discrete
+    distributions related to the stable law"). W comes from numpy's
+    `Generator.beta`; K = 1 + floor(log U / log1p(-W)) is formed in float64,
+    so draws above 2^53 are rounded. A draw of 2^62 or more raises
+    PrecisionError, as does W = 0, which underflows for small alpha (about
+    half the draws at alpha = 0.001).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
     n = 1 if size is None else _as_count(size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    u = 1.0 - rng.generator.random(n)  # in (0, 1]
-    lo = np.zeros(n)                   # survival(0) = 1 >= u always
-    hi = np.ones(n)
-    need = _sibuya_survival_vec(alpha, hi) >= u
-    while need.any():
-        lo[need] = hi[need]
-        hi[need] *= 2.0
-        if hi.max() > 2.0**1000:
-            raise PrecisionError("sibuya search exceeded 2^1000 (astronomical draw)")
-        need[need] = _sibuya_survival_vec(alpha, hi[need]) >= u[need]
-    # invariant: survival(lo) >= u > survival(hi), answer in (lo, hi]
-    wide = hi - lo > 1.0
-    while wide.any():
-        mid = np.floor((lo[wide] + hi[wide]) / 2.0)
-        up = _sibuya_survival_vec(alpha, mid) >= u[wide]
-        lo_w, hi_w = lo[wide], hi[wide]
-        lo_w[up] = mid[up]
-        hi_w[~up] = mid[~up]
-        lo[wide], hi[wide] = lo_w, hi_w
-        wide = hi - lo > 1.0
-    if hi.max() >= 2.0**62:
-        raise PrecisionError("sibuya draw exceeds the integer range")
-    out = hi.astype(np.int64)
+    gen = rng.generator
+    w = gen.beta(alpha, 1.0 - alpha, n)
+    u = 1.0 - gen.random(n)  # in (0, 1]
+    # W = 0 or a subnormal W gives inf or NaN here, which _check_range rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = 1.0 + np.floor(np.log(u) / np.log1p(-w))
+    _check_range(k, "sibuya")
+    out = k.astype(np.int64)
     return int(out[0]) if size is None else out
 
 
@@ -218,8 +158,6 @@ def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None)
     if not theta > 0.0:
         raise DomainError(f"theta must be > 0, got {theta!r}")
     n = 1 if size is None else _as_count(size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     gen = rng.generator
     out = np.empty(n, dtype=np.int64)
     pending = np.arange(n)
@@ -231,35 +169,18 @@ def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None)
     return int(out[0]) if size is None else out
 
 
-# ---------------------------------------------------------------------------
-# zeta (Zipf) law
-# ---------------------------------------------------------------------------
-
 def sample_zeta(s: float, rng: RngState, size=None):
-    """K >= 1 with P(K = k) = k^{-s} / zeta(s), via two-uniform rejection.
+    """K >= 1 with P(K = k) = k^{-s} / zeta(s), by numpy's `Generator.zipf`.
 
-    Pareto-type envelope: X = floor(U^{-1/(s-1)}), accepted against the ratio
-    test with T = (1 + 1/X)^{s-1}; expected trials are bounded for every s > 1.
+    numpy proposes only values up to about 2^63, so the draws follow the law
+    conditioned on K below that. Callers that need the whole law treat a draw of
+    2^62 or more as a PrecisionError (PolylogDS does); a capped sampler
+    rejects such draws anyway.
     """
     if not s > 1.0:
         raise DomainError(f"s must be > 1, got {s!r}")
     n = 1 if size is None else _as_count(size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    gen = rng.generator
-    b = 2.0 ** (s - 1.0)
-    out = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
-        u = 1.0 - gen.random(m)
-        v = gen.random(m)
-        x = np.floor(u ** (-1.0 / (s - 1.0)))
-        t = (1.0 + 1.0 / x) ** (s - 1.0)
-        accept = v * x * (t - 1.0) / (b - 1.0) <= t / b
-        accept &= x < 2.0**62
-        out[pending[accept]] = x[accept].astype(np.int64)
-        pending = pending[~accept]
+    out = rng.generator.zipf(s, n)
     return int(out[0]) if size is None else out
 
 
@@ -308,8 +229,15 @@ def _sample_batch(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     # integer lattice sums are exact; scale by the pitch once at the end
-    sums = np.add.reduceat(np.append(jumps, np.int64(0)), offsets)
-    sums[counts == 0] = 0
+    padded = np.append(jumps, np.int64(0))
+    empty = counts == 0
+    sums = np.add.reduceat(padded, offsets)
+    sums[empty] = 0
+    if max(int(jumps.max()), -int(jumps.min())) * int(counts.max()) >= _INT_LIMIT:
+        # int64 sums wrap silently; a float64 sum tells whether any reaches 2^62
+        approx = np.add.reduceat(padded.astype(np.float64), offsets)
+        approx[empty] = 0.0
+        _check_range(np.abs(approx), "summed")
     return p.a * sums
 
 
@@ -327,13 +255,13 @@ def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: i
     n = 1 if size is None else _as_count(size)
     if n == 0:
         return np.empty(0)
-    session = rng._take_word()
+    # one 63-bit draw advances rng; the batches run on splits of the stream it keys
+    session = RngState._from_base(int(rng.generator.integers(0, 1 << 63, dtype=np.int64)))
     spans = [(i, lo, min(lo + _BATCH, n)) for i, lo in enumerate(range(0, n, _BATCH))]
 
     def run(span):
         i, lo, hi = span
-        child = RngState._from_base(_splitmix64((session ^ ((i + 1) * _GOLDEN)) & _MASK64))
-        return _sample_batch(p, child, hi - lo)
+        return _sample_batch(p, session.split(i), hi - lo)
 
     if threads == 1 or len(spans) == 1:
         parts = [run(s) for s in spans]

@@ -13,7 +13,7 @@ import pytest
 
 import dstable
 from dstable.analysis import cf_distance, tail_check
-from dstable.cli import _write_table, main
+from dstable.cli import _fmt, _json_value, _write_table, main
 from dstable.families import SymmetricDS, TruncatedSDS, char_fn
 
 SDS_FLAGS = ["sds", "--gamma", "0.6", "--sigma", "1", "--a", "0.5"]
@@ -319,7 +319,7 @@ def test_domain_failure_does_not_create_out_file(tmp_path, capsys):
 def test_csv_serialization_of_special_values():
     buf = io.StringIO()
     _write_table(buf, "csv", {"flag": True, "none": None, "x": 0.1},
-                 ("v",), [(math.inf,), (1.0,)])
+                 ("v",), ([math.inf, 1.0],))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# flag=true"
     assert lines[1] == "# none="
@@ -330,7 +330,27 @@ def test_csv_serialization_of_special_values():
 def test_json_serialization_of_special_values():
     buf = io.StringIO()
     _write_table(buf, "json", {"flag": False, "none": None},
-                 ("v",), [(math.inf,), (math.nan,), (np.int64(3),)])
+                 ("v", "k"), ([math.inf, math.nan], np.array([3, 4], dtype=np.int64)))
     payload = json.loads(buf.getvalue())
     assert payload["meta"] == {"flag": False, "none": None}
-    assert payload["rows"] == [[None], [None], [3]]
+    assert payload["rows"] == [[None, 3], [None, 4]]
+
+
+def test_columnwise_writers_match_per_value_format():
+    # the writers format whole columns; the reference formats value by value,
+    # over more rows than one CSV block and with every special float
+    rng = np.random.default_rng(5)
+    n = (1 << 16) + 3
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[:6] = [math.nan, math.inf, -math.inf, -0.0, 0.1, 5e-324]
+    ints = rng.integers(-(1 << 62), 1 << 62, n)
+    columns = (ints, floats, [0.25] * n)
+    rows = list(zip(ints, floats, [0.25] * n))
+    buf = io.StringIO()
+    _write_table(buf, "csv", {"x": 0.5}, ("k", "v", "w"), columns)
+    want = "# x=0.5\nk,v,w\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    assert buf.getvalue() == want
+    buf = io.StringIO()
+    _write_table(buf, "json", {}, ("k", "v", "w"), columns)
+    payload = json.loads(buf.getvalue())
+    assert payload["rows"] == [[_json_value(v) for v in row] for row in rows]

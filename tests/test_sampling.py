@@ -2,6 +2,7 @@
 agreement between the samplers and the Fourier-inversion PMFs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,11 +144,19 @@ class TestPoisson:
 
     def test_cdf_matches_reference_across_the_switch(self):
         from scipy.stats import poisson as poisson_ref
-        for rate, seed in ((29.5, 31), (31.0, 32)):
+        # 9.5 and 10.5 straddle numpy's switch from inversion to PTRS at rate 10
+        for rate, seed in ((9.5, 33), (10.5, 34), (29.5, 31), (31.0, 32)):
             x = sample_poisson(rate, RngState(seed), size=1_000_000)
             ks = np.arange(x.max() + 1)
             ecdf = np.searchsorted(np.sort(x), ks, side="right") / x.size
             assert np.max(np.abs(ecdf - poisson_ref.cdf(ks, rate))) < 0.002
+
+    def test_rate_beyond_numpy_range(self):
+        # numpy's largest rate still draws; above it the count would not fit in int64
+        assert sample_poisson(sampling._POISSON_MAX, RngState(0)) > 2**62
+        for rate in (np.nextafter(sampling._POISSON_MAX, math.inf), 1e19, 1e300):
+            with pytest.raises(PrecisionError, match="int64"):
+                sample_poisson(rate, RngState(0), size=4)
 
     @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, "2"])
     def test_bad_rate(self, rate):
@@ -160,10 +169,21 @@ class TestPoisson:
 # ---------------------------------------------------------------------------
 
 class TestSibuya:
-    def test_first_atom_frequency(self):
-        k = sample_sibuya(0.5, RngState(41), size=1_000_000)
+    # alpha >= 0.5: below it the law puts so much mass at 2^62 or more
+    # (1.3% at alpha = 0.1) that 10^6 draws always raise PrecisionError
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.95])
+    def test_atom_frequencies(self, alpha):
+        k = sample_sibuya(alpha, RngState(41), size=1_000_000)
         assert k.min() >= 1
-        assert abs(np.mean(k == 1) - 0.5) < 0.004
+        for j in range(1, 11):
+            want = sibuya_pmf(alpha, j)
+            sd = math.sqrt(want * (1.0 - want) / k.size)
+            assert abs(np.mean(k == j) - want) < 4.0 * sd, f"k={j}"
+        # P(K > 1000) = Gamma(1001 - alpha) / (Gamma(1 - alpha) 1000!)
+        want = math.exp(math.lgamma(1001.0 - alpha) - math.lgamma(1.0 - alpha)
+                        - math.lgamma(1001.0))
+        sd = math.sqrt(want * (1.0 - want) / k.size)
+        assert abs(np.mean(k > 1000) - want) < 4.0 * sd
 
     def test_survival_frequency_frozen(self):
         k = sample_sibuya(0.5, RngState(42), size=1_000_000)
@@ -176,6 +196,14 @@ class TestSibuya:
 
     def test_scalar_is_int(self):
         assert isinstance(sample_sibuya(0.3, RngState(2)), int)
+
+    def test_tiny_alpha_raises_without_warning(self):
+        # Beta(0.001, 0.999) underflows to W = 0 for about half the draws,
+        # which would be an infinite geometric draw
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="2\\^62"):
+                sample_sibuya(0.001, RngState(44), size=1000)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.4, math.nan])
     def test_bad_alpha(self, alpha):
@@ -271,6 +299,16 @@ class TestJumps:
             j = _sample_jumps(p, RngState(74), 50_000)
             assert np.all(j != 0)
 
+    def test_tempered_sign_frequency(self):
+        # the side split uses the rates l_i (1 - (1 - e^{-theta_i})^alpha)
+        p = TemperedDS(0.6, 0.2, 1.0, 1.0, 0.2, 1.5)
+        l1, l2 = derived_intensities(p)
+        lam1 = l1 * (1.0 - (1.0 - math.exp(-0.2)) ** 0.6)
+        lam2 = l2 * (1.0 - (1.0 - math.exp(-1.5)) ** 0.6)
+        want = lam1 / (lam1 + lam2)
+        j = _sample_jumps(p, RngState(77), 500_000)
+        assert abs(np.mean(j > 0) - want) < 4.0 * math.sqrt(want * (1 - want) / j.size)
+
     def test_gaussian_limit_symmetric_steps_are_unit(self):
         # gamma = 1: Sibuya(1) is the point mass at K = 1, a single +-1 step
         j = _sample_jumps(SymmetricDS(1.0, 1.0, 1.0), RngState(76), 100_000)
@@ -334,6 +372,31 @@ class TestSampleFamily:
         monkeypatch.setattr(sampling, "_rademacher_sum", lambda k, gen: k + 1)
         with pytest.raises(PrecisionError, match="support"):
             sample_family(TruncatedSDS(0.4, 1.0, 1.0, 8), RngState(0), size=1000)
+
+    def test_zeta_jump_beyond_int_range_raises(self):
+        # at s = 1.05, about 11% of the zeta law lies at 2^62 or more; numpy's
+        # zipf cuts it off near 2^63, so a draw past 2^62 must not pass silently
+        with pytest.raises(PrecisionError, match="zeta"):
+            sample_family(PolylogDS(0.05, 1.0, 0.0, 1.0), RngState(1), size=100_000)
+
+    def test_capped_zeta_rejects_huge_draws(self):
+        # the cap m discards every overshoot, however large, without an error
+        p = TruncatedPolylogDS(0.05, 1.0, 1.0, 1.0, 64)
+        x = sample_family(p, RngState(1), size=20_000)
+        j = _sample_jumps(p, RngState(2), 20_000)
+        assert np.all(np.abs(j) <= 64) and np.all(j != 0)
+        assert np.all(np.isfinite(x)) and np.all(x == np.round(x))
+
+    # two jumps of 2^61 reach 2^62 exactly; three of 2^62 - 1 wrap an int64
+    # sum to a negative value
+    @pytest.mark.parametrize("count, jump", [(2, 2**61), (3, 2**62 - 1)])
+    def test_jump_sum_beyond_int_range_raises(self, monkeypatch, count, jump):
+        monkeypatch.setattr(sampling, "sample_poisson",
+                            lambda rate, rng, n: np.full(n, count, dtype=np.int64))
+        monkeypatch.setattr(sampling, "_sample_jumps",
+                            lambda p, rng, total: np.full(total, jump, dtype=np.int64))
+        with pytest.raises(PrecisionError, match="2\\^62"):
+            sample_family(DiscreteStable(0.6, 0.4, 1.0, 0.1), RngState(0), size=1000)
 
     @pytest.mark.parametrize("size", [-1, 2.5, "10"])
     def test_bad_size(self, size):
