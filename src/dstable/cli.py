@@ -45,8 +45,8 @@ _FAMILIES = {
 _PARAM_FLAGS = ("gamma", "sigma", "a", "m", "alpha", "beta", "theta1",
                 "theta2", "P", "Q")
 
-# CSV rows are formatted column by column, this many rows at a time
-_CSV_BLOCK = 1 << 16
+# table rows are formatted column by column, this many rows at a time
+_ROW_BLOCK = 1 << 16
 
 
 def _add_family_arguments(sub):
@@ -65,10 +65,9 @@ def _add_family_arguments(sub):
     group.add_argument("--Q", type=float, help="negative-side intensity")
 
 
-def _build_family(args, skip=()):
+def _build_family(args):
     """Construct the selected family from exactly its parameter flags."""
     ctor, wanted = _FAMILIES[args.family]
-    wanted = tuple(f for f in wanted if f not in skip)
     given = {f for f in _PARAM_FLAGS if getattr(args, f) is not None}
     missing = [f for f in wanted if f not in given]
     extra = sorted(given - set(wanted))
@@ -110,31 +109,42 @@ def _json_value(v):
     return v
 
 
-def _column_text(col) -> list:
-    """A table column as CSV fields: floats as %.17g, as _fmt writes them."""
+def _column_text(col, fmt: str) -> list:
+    """A numeric column as fields: floats as %.17g in CSV, as _fmt writes them,
+    and as json.dump writes them in JSON, with non-finite values as null."""
     col = np.asarray(col)
-    fmt = "{:.17g}".format if col.dtype.kind == "f" else str
-    return list(map(fmt, col.tolist()))
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    text = list(map("{:.17g}".format if fmt == "csv" else repr, col.tolist()))
+    if fmt == "json":
+        for i in np.flatnonzero(~np.isfinite(col)):
+            text[i] = "null"
+    return text
 
 
 def _write_table(stream, fmt: str, meta: dict, names, columns) -> None:
-    """Write one table, given as one sequence per column, as CSV or JSON."""
+    """Write one table, given as one sequence per column, as CSV or JSON.
+
+    Rows are formatted _ROW_BLOCK at a time; the JSON rows are laid out as
+    json.dump(indent=2) lays out the whole payload.
+    """
+    n = len(columns[0])
     if fmt == "json":
-        payload = {
-            "meta": {k: _json_value(v) for k, v in meta.items()},
-            "columns": list(names),
-            "rows": [list(row) for row in zip(*(
-                map(_json_value, np.asarray(col).tolist()) for col in columns))],
-        }
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-        return
-    for k, v in meta.items():
-        stream.write(f"# {k}={_fmt(v)}\n")
-    stream.write(",".join(names) + "\n")
-    for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        fields = [_column_text(col[lo:lo + _CSV_BLOCK]) for col in columns]
-        stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        head = json.dumps({"meta": {k: _json_value(v) for k, v in meta.items()},
+                           "columns": list(names), "rows": []}, indent=2)
+        # rows go between the brackets of the empty "rows": [] that ends head
+        stream.write(head[:-len("]\n}")] + "\n" if n else head)
+        row = "    [\n      " + ",\n      ".join(["{}"] * len(columns)) + "\n    ]"
+        sep, end = ",\n", "\n  ]\n}\n" if n else "\n"
+    else:
+        for k, v in meta.items():
+            stream.write(f"# {k}={_fmt(v)}\n")
+        stream.write(",".join(names) + "\n")
+        row, sep, end = ",".join(["{}"] * len(columns)), "\n", "\n" if n else ""
+    for lo in range(0, n, _ROW_BLOCK):
+        fields = [_column_text(col[lo:lo + _ROW_BLOCK], fmt) for col in columns]
+        stream.write(("" if lo == 0 else sep) + sep.join(map(row.format, *fields)))
+    stream.write(end)
 
 
 def _family_meta(args) -> dict:

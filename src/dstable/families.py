@@ -3,7 +3,7 @@
 Every family lives on the lattice a*Z and is a compound-Poisson law: a total
 jump intensity Lambda and a single-jump law, with CF exp(-Lambda (1 - h(t))).
 Each class holds its parameter rules, its one-sided intensities, Lambda, its
-log CF as a function of a*t, its Levy weights, its stable target and its jump
+log CF as a function of a*t, its Levy weights, its stable target and its
 sampler. The public functions below (`char_fn`, `compound_poisson_view`,
 `derived_intensities`, `levy_weight`, `target_stable`) dispatch to the class
 through one guard; `compound_poisson_view` derives h = 1 + log CF / Lambda,
@@ -219,7 +219,8 @@ def _polylog_target(p, gaussian: bool) -> AttractionTarget:
 # Each class defines, for the dispatchers below: _intensities() -> (l1, l2);
 # _total_intensity() -> Lambda; _log_cf(at), the log CF at at = a*t, which
 # vanishes at at = 0; _levy_weight(k) for a nonzero integer k; _target();
-# and _jumps(rng, count), the jumps in lattice units.
+# and _draw(rng, n), n draws in lattice steps: a Poisson mixture over a stable
+# rate, or a Poisson(Lambda) sum of _jumps(rng, count) in lattice units.
 # ---------------------------------------------------------------------------
 
 
@@ -247,13 +248,11 @@ class SymmetricDS:
             StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=self.gamma == 1.0
         )
 
-    def _jumps(self, rng, count: int) -> np.ndarray:
-        # a walk of K fair +-1 steps, K ~ Sibuya(gamma); Sibuya(1) is K = 1
-        if self.gamma == 1.0:
-            k = np.ones(count, dtype=np.int64)
-        else:
-            k = sampling.sample_sibuya(self.gamma, rng, count)
-        return sampling._rademacher_sum(k, rng.generator)
+    def _draw(self, rng, n: int) -> np.ndarray:
+        # given T, Poisson(T/2) - Poisson(T/2) has CF e^{-T (1 - cos at)}, whose mean
+        # over T = lambda^(1/gamma) S_gamma is exp(-lambda (1 - cos at)^gamma)
+        half = 0.5 * sampling._stable_rates(_walk_rate(self), self.gamma, rng, n)
+        return sampling._poisson_counts(half, rng) - sampling._poisson_counts(half, rng)
 
 
 @dataclass(frozen=True)
@@ -267,6 +266,7 @@ class TruncatedSDS:
 
     __post_init__ = _validate
     _levy_weight = _no_closed_form_weights
+    _draw = sampling._compound_poisson
 
     def _intensities(self):
         lam_m = _walk_rate(self) * (1.0 - sibuya_survival(self.gamma, self.m))
@@ -285,11 +285,8 @@ class TruncatedSDS:
         return AttractionTarget(StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=True)
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        gen = rng.generator
-        w = _sibuya_weights(self.gamma, self.m)
-        cdf = np.cumsum(w) / w.sum()
-        k = np.minimum(np.searchsorted(cdf, gen.random(count), side="right"), self.m - 1) + 1
-        steps = sampling._rademacher_sum(k.astype(np.int64), gen)
+        k = sampling._from_table(_sibuya_weights(self.gamma, self.m), rng.generator, count)
+        steps = 2 * rng.generator.binomial(k, 0.5) - k  # K fair +-1 steps, as one binomial
         if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
             raise PrecisionError(f"TruncatedSDS jump beyond its support a*m, m = {self.m}")
         return steps
@@ -320,10 +317,13 @@ class DiscreteStable:
     def _target(self) -> AttractionTarget:
         return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma), gaussian=False)
 
-    def _jumps(self, rng, count: int) -> np.ndarray:
+    def _draw(self, rng, n: int) -> np.ndarray:
+        # given T_i, a side Poisson(T_i) has CF e^{-T_i (1 - e^{+-i at})}, whose mean
+        # over T_i = l_i^(1/alpha) S_alpha is exp(-l_i (1 - e^{+-i at})^alpha)
         l1, l2 = self._intensities()
-        sign = sampling._signs(l1 / (l1 + l2), rng.generator, count)
-        return sign * sampling.sample_sibuya(self.alpha, rng, count)
+        right = sampling._stable_rates(l1, self.alpha, rng, n)
+        left = sampling._stable_rates(l2, self.alpha, rng, n)
+        return sampling._poisson_counts(right, rng) - sampling._poisson_counts(left, rng)
 
 
 @dataclass(frozen=True)
@@ -339,6 +339,7 @@ class TemperedDS:
 
     __post_init__ = _validate
     _intensities = _ds_intensities
+    _draw = sampling._compound_poisson
 
     def _bases(self):
         """(1 - e^{-theta1})^alpha and (1 - e^{-theta2})^alpha, as complex."""
@@ -397,6 +398,7 @@ class PolylogDS:
     __post_init__ = _validate_polylog
     _total_intensity = _intensity_sum
     _levy_weight = _polylog_levy_weight
+    _draw = sampling._compound_poisson
 
     def _intensities(self):
         z = riemann_zeta(1.0 + self.alpha) * self.a**-self.alpha
@@ -432,6 +434,7 @@ class TruncatedPolylogDS:
 
     __post_init__ = _validate_polylog
     _total_intensity = _intensity_sum
+    _draw = sampling._compound_poisson
 
     def _intensities(self):
         h = float(np.real(_finite_polylog(1.0 + self.alpha, 0.0, self.m)[0])) * self.a**-self.alpha
@@ -451,7 +454,8 @@ class TruncatedPolylogDS:
 
     def _jumps(self, rng, count: int) -> np.ndarray:
         sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
-        return sign * sampling._zeta_capped(1.0 + self.alpha, self.m, rng, count)
+        w = np.arange(1.0, self.m + 1.0) ** -(1.0 + self.alpha)
+        return sign * sampling._from_table(w, rng.generator, count)
 
 
 FamilyParams = Union[
@@ -557,8 +561,6 @@ def symmetric_levy_weights(p: SymmetricDS, k_max: int, terms: int = 2048) -> np.
         if w[idx] == 0.0:
             continue
         sel = ks <= steps
-        if not sel.any():
-            break
         up = (ks[sel] + steps) / 2.0
         mask = (ks[sel] + steps) % 2 == 0
         pmf = np.where(mask, _binom.pmf(np.floor(up), steps, 0.5), 0.0)

@@ -1,10 +1,11 @@
 """Exact samplers for the lattice families and their jump laws.
 
 This module holds the generic samplers (Poisson, Sibuya, tempered Sibuya,
-zeta), thin calls into numpy's Generator, and the compound-Poisson sum; each
-family class in `families` draws its own jumps from them, so no family is
-named here. Draws are int64 lattice steps: a jump or a draw of 2^62 or more,
-or a Poisson rate above numpy's range, raises PrecisionError rather than wrap.
+zeta), thin calls into numpy's Generator, the compound-Poisson sum, and the
+Poisson mixtures over a positive stable rate, whose cost does not depend on
+Lambda; each family class in `families` draws from them, so no family is
+named here. Draws are int64 lattice steps: a jump, count or draw of 2^62 or
+more, or a Poisson rate above numpy's range, raises PrecisionError rather than wrap.
 
 Everything is driven by RngState, a splittable deterministic stream: the same
 seed and call sequence produce the same draws on every platform, and batch
@@ -174,8 +175,7 @@ def sample_zeta(s: float, rng: RngState, size=None):
 
     numpy proposes only values up to about 2^63, so the draws follow the law
     conditioned on K below that. Callers that need the whole law treat a draw of
-    2^62 or more as a PrecisionError (PolylogDS does); a capped sampler
-    rejects such draws anyway.
+    2^62 or more as a PrecisionError, as PolylogDS does.
     """
     if not s > 1.0:
         raise DomainError(f"s must be > 1, got {s!r}")
@@ -188,47 +188,30 @@ def sample_zeta(s: float, rng: RngState, size=None):
 # family sampler
 # ---------------------------------------------------------------------------
 
-def _zeta_capped(s: float, m: int, rng: RngState, count: int) -> np.ndarray:
-    """zeta(s) law conditioned on K <= m, by resampling the overshoots."""
-    out = np.empty(count, dtype=np.int64)
-    pending = np.arange(count)
-    while pending.size:
-        k = sample_zeta(s, rng, pending.size)
-        good = k <= m
-        out[pending[good]] = k[good]
-        pending = pending[~good]
-    return out
-
-
 def _signs(frac_positive: float, gen: np.random.Generator, count: int) -> np.ndarray:
     return np.where(gen.random(count) < frac_positive, 1, -1).astype(np.int64)
 
 
-def _rademacher_sum(k: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Sum of K fair +-1 steps, drawn as one binomial: 2 Binom(K, 1/2) - K."""
-    return 2 * gen.binomial(k, 0.5).astype(np.int64) - k.astype(np.int64)
+def _from_table(w: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
+    """K in 1..len(w) with P(K = k) proportional to w[k-1], by an inverse-CDF table."""
+    k = np.searchsorted(np.cumsum(w) / w.sum(), gen.random(count), side="right")
+    return np.minimum(k, w.size - 1).astype(np.int64) + 1
 
 
-def _sample_jumps(p: families.FamilyParams, rng: RngState, count: int) -> np.ndarray:
-    """`count` independent jumps of the compound-Poisson representation.
+def _compound_poisson(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
+    """n draws of p in lattice steps: a Poisson(Lambda) number of `p._jumps`, summed.
 
-    Returned in integer lattice units (multiples of a): summing in int64 and
+    Jumps come in integer lattice units (multiples of a): summing in int64 and
     scaling by a once keeps every sample bit-exact on the PMF's lattice —
     accumulating float multiples of a fractional pitch would drift off it.
     """
-    return families._family(p)._jumps(rng, count)
-
-
-def _sample_batch(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
-    lam = families._family(p)._total_intensity()
-    counts = sample_poisson(lam, rng, n)
+    counts = sample_poisson(p._total_intensity(), rng, n)
     total = int(counts.sum())
     if total == 0:
-        return np.zeros(n)
-    jumps = _sample_jumps(p, rng, total)
+        return np.zeros(n, dtype=np.int64)
+    jumps = p._jumps(rng, total)
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
-    # integer lattice sums are exact; scale by the pitch once at the end
     padded = np.append(jumps, np.int64(0))
     empty = counts == 0
     sums = np.add.reduceat(padded, offsets)
@@ -238,11 +221,37 @@ def _sample_batch(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray
         approx = np.add.reduceat(padded.astype(np.float64), offsets)
         approx[empty] = 0.0
         _check_range(np.abs(approx), "summed")
-    return p.a * sums
+    return sums
+
+
+def _stable_rates(lam: float, alpha: float, rng: RngState, n: int) -> np.ndarray:
+    """n draws of lam^(1/alpha) S, S >= 0 with Laplace transform exp(-s^alpha).
+
+    Kanter (1975) in log space, U uniform on (0, pi), E ~ Exp(1): log S =
+    [alpha log sin(alpha U) + (1-alpha) log sin((1-alpha) U) - log sin U] / alpha
+    - ((1-alpha)/alpha) log E. S = 1 at alpha = 1; lam = 0 gives zeros; overflow gives inf.
+    """
+    if lam == 0.0 or alpha == 1.0:
+        return np.full(n, lam)
+    u = math.pi * (1.0 - rng.generator.random(n))  # in (0, pi]: the float pi is below pi
+    e = rng.generator.standard_exponential(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_s = (alpha * np.log(np.sin(alpha * u)) - np.log(np.sin(u))
+                 + (1.0 - alpha) * (np.log(np.sin((1.0 - alpha) * u)) - np.log(e))) / alpha
+        return np.exp(math.log(lam) / alpha + log_s)
+
+
+def _poisson_counts(rates: np.ndarray, rng: RngState) -> np.ndarray:
+    """Poisson draws at `rates`; a rate past numpy's range, inf, NaN or count >= 2^62 raises."""
+    if rates.size and not rates.max() <= _POISSON_MAX:
+        raise PrecisionError("Poisson mixing rate exceeds numpy's range, about 9.2e18")
+    k = rng.generator.poisson(rates)
+    _check_range(k, "Poisson")
+    return k
 
 
 def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: int = 1):
-    """Draws from the family's law: a Poisson number of jumps, summed.
+    """Draws from the family's law, by the family's `_draw`.
 
     Batches of 2^16 samples each run on independent child streams keyed by
     batch index, so the result depends only on (stream state, size) — not on
@@ -257,16 +266,15 @@ def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: i
         return np.empty(0)
     # one 63-bit draw advances rng; the batches run on splits of the stream it keys
     session = RngState._from_base(int(rng.generator.integers(0, 1 << 63, dtype=np.int64)))
-    spans = [(i, lo, min(lo + _BATCH, n)) for i, lo in enumerate(range(0, n, _BATCH))]
+    batches = range(-(-n // _BATCH))
 
-    def run(span):
-        i, lo, hi = span
-        return _sample_batch(p, session.split(i), hi - lo)
+    def run(i):
+        return p.a * p._draw(session.split(i), min(_BATCH, n - i * _BATCH))
 
-    if threads == 1 or len(spans) == 1:
-        parts = [run(s) for s in spans]
+    if threads == 1 or len(batches) == 1:
+        parts = list(map(run, batches))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, spans))
+            parts = list(pool.map(run, batches))
     out = np.concatenate(parts)
     return float(out[0]) if size is None else out

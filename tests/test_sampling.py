@@ -27,7 +27,6 @@ from dstable.families import (
 from dstable.inversion import pmf_from_cf
 from dstable.sampling import (
     RngState,
-    _sample_jumps,
     sample_family,
     sample_poisson,
     sample_sibuya,
@@ -271,32 +270,35 @@ class TestZeta:
 # ---------------------------------------------------------------------------
 
 class TestJumps:
+    # SymmetricDS and DiscreteStable draw from Poisson mixtures and have no
+    # jumps; their cases here test the draws
     def test_symmetric_walk_sign_balance(self):
-        j = _sample_jumps(SymmetricDS(0.6, 1.0, 1.0), RngState(71), 200_000)
-        nz = j[j != 0]
+        x = sample_family(SymmetricDS(0.6, 1.0, 1.0), RngState(71), 200_000)
+        nz = x[x != 0]
         n_pos = int((nz > 0).sum())
         assert abs(n_pos - nz.size / 2) < 3.0 * math.sqrt(nz.size) / 2.0
 
     def test_truncated_bounds_exact(self):
         p = TruncatedSDS(0.45, 1.0, 0.5, 6)
-        j = _sample_jumps(p, RngState(72), 100_000)
+        j = p._jumps(RngState(72), 100_000)
         assert np.issubdtype(j.dtype, np.integer)
         assert np.all(np.abs(j) <= p.m)
 
     def test_skewed_sign_frequency(self):
-        p = DiscreteStable(0.6, 0.4, 1.0, 0.1)
-        l1, l2 = derived_intensities(p)
-        j = _sample_jumps(p, RngState(73), 500_000)
-        frac = np.mean(j > 0)
-        want = l1 / (l1 + l2)
-        assert abs(frac - want) < 3.0 * math.sqrt(want * (1 - want) / j.size)
+        # P(X > 0) and P(X < 0) of the skewed law against its inverted PMF
+        p = DiscreteStable(0.6, 0.4, 1.0, 1.0)
+        pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, 1 << 16)
+        ks = pmf.k_min + np.arange(pmf.masses.size)
+        x = sample_family(p, RngState(73), 500_000)
+        for emp, want in ((np.mean(x > 0), pmf.masses[ks > 0].sum()),
+                          (np.mean(x < 0), pmf.masses[ks < 0].sum())):
+            assert abs(emp - want) < 3.0 * math.sqrt(want * (1 - want) / x.size)
 
     def test_sign_magnitude_jumps_never_zero(self):
-        for p in (DiscreteStable(0.5, 0.0, 1.0, 1.0),
-                  TemperedDS(0.7, 0.2, 1.0, 1.0, 0.3, 0.4),
+        for p in (TemperedDS(0.7, 0.2, 1.0, 1.0, 0.3, 0.4),
                   PolylogDS(0.9, 2.0, 1.0, 1.0),
                   TruncatedPolylogDS(0.9, 2.0, 1.0, 1.0, 32)):
-            j = _sample_jumps(p, RngState(74), 50_000)
+            j = p._jumps(RngState(74), 50_000)
             assert np.all(j != 0)
 
     def test_tempered_sign_frequency(self):
@@ -306,19 +308,100 @@ class TestJumps:
         lam1 = l1 * (1.0 - (1.0 - math.exp(-0.2)) ** 0.6)
         lam2 = l2 * (1.0 - (1.0 - math.exp(-1.5)) ** 0.6)
         want = lam1 / (lam1 + lam2)
-        j = _sample_jumps(p, RngState(77), 500_000)
+        j = p._jumps(RngState(77), 500_000)
         assert abs(np.mean(j > 0) - want) < 4.0 * math.sqrt(want * (1 - want) / j.size)
 
     def test_gaussian_limit_symmetric_steps_are_unit(self):
-        # gamma = 1: Sibuya(1) is the point mass at K = 1, a single +-1 step
-        j = _sample_jumps(SymmetricDS(1.0, 1.0, 1.0), RngState(76), 100_000)
-        assert set(np.unique(j)) == {-1, 1}
+        # gamma = 1: X/a = Poisson(Lambda/2) - Poisson(Lambda/2), the sum of a
+        # Poisson(Lambda) number of +-1 steps, with variance Lambda exactly
+        p = SymmetricDS(1.0, 1.0, 1.0)
+        lam = compound_poisson_view(p).total_intensity
+        x = sample_family(p, RngState(76), 400_000) / p.a
+        assert np.array_equal(x, np.round(x))
+        # fourth central moment 3 lam^2 + lam: the sample variance has variance (2 lam^2 + lam) / n
+        assert abs(x.var() - lam) < 4.0 * math.sqrt((2.0 * lam**2 + lam) / x.size)
 
     def test_truncated_polylog_cap(self):
         p = TruncatedPolylogDS(0.6, 1.0, 3.0, 1.0, 16)
-        j = _sample_jumps(p, RngState(75), 100_000)
+        j = p._jumps(RngState(75), 100_000)
         assert np.all(np.abs(j) <= p.m)
         assert np.all(np.abs(j) >= 1)
+
+    def test_truncated_polylog_atom_frequencies(self):
+        # |K| follows k^{-s} / sum_{j <= m} j^{-s} on 1..m
+        p = TruncatedPolylogDS(0.6, 1.0, 3.0, 1.0, 16)
+        k = np.abs(p._jumps(RngState(78), 400_000))
+        w = np.arange(1.0, 17.0) ** -1.6
+        want = w / w.sum()
+        emp = np.bincount(k, minlength=17)[1:] / k.size
+        assert np.all(np.abs(emp - want) < 4.0 * np.sqrt(want * (1 - want) / k.size))
+
+
+# ---------------------------------------------------------------------------
+# Poisson mixtures over a positive stable rate
+# ---------------------------------------------------------------------------
+
+class TestStableMixture:
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 0.999])
+    def test_laplace_transform(self, alpha):
+        # E exp(-s S) = exp(-s^alpha) for the positive stable mixing law
+        r = sampling._stable_rates(1.0, alpha, RngState(81), 400_000)
+        for s in (0.5, 1.0, 2.0):
+            v = np.exp(-s * r)
+            assert abs(v.mean() - math.exp(-s**alpha)) < 5.0 * v.std() / math.sqrt(r.size)
+
+    def test_rate_scales_as_lambda_to_one_over_alpha(self):
+        one = sampling._stable_rates(1.0, 0.6, RngState(82), 1000)
+        scaled = sampling._stable_rates(8.0, 0.6, RngState(82), 1000)
+        assert np.allclose(scaled, 8.0 ** (1.0 / 0.6) * one, rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    def test_one_sided_ds(self, beta):
+        # a side with zero intensity draws 0, with no NaN
+        p = DiscreteStable(0.7, beta, 1.0, 0.1)
+        x = sample_family(p, RngState(83), 200_000)
+        assert np.all(np.isfinite(x))
+        assert np.all(beta * x >= 0.0)
+        t = np.linspace(0.2, 0.8, 20) * math.pi / p.a
+        emp = np.exp(1j * np.outer(t, x)).mean(axis=1)
+        assert np.max(np.abs(emp - char_fn(p, t))) < 4.0 / math.sqrt(x.size)
+
+    def test_cost_independent_of_lambda(self, monkeypatch):
+        # Lambda is about 4.7e5 jumps per draw; the mixture draws no jump count
+        def refuse(*args):
+            raise AssertionError("compound-Poisson path taken")
+
+        monkeypatch.setattr(sampling, "sample_poisson", refuse)
+        p = SymmetricDS(0.9, 1.0, 1e-3)
+        assert compound_poisson_view(p).total_intensity > 4e5
+        x = sample_family(p, RngState(84), 200_000)
+        t = np.linspace(0.2, 0.8, 20) * math.pi / p.a
+        emp = np.exp(1j * np.outer(t, x)).mean(axis=1)
+        assert np.max(np.abs(emp - char_fn(p, t))) < 4.0 / math.sqrt(x.size)
+        sample_family(DiscreteStable(0.7, 0.5, 1.0, 1e-3), RngState(85), 1000)
+        with pytest.raises(AssertionError, match="compound"):
+            sample_family(TemperedDS(0.7, 0.0, 1.0, 0.05, 0.5, 0.5), RngState(86), 10)
+
+    @pytest.mark.parametrize("rate", [1e19, math.inf, math.nan])
+    @pytest.mark.parametrize("p", [SymmetricDS(0.6, 1.0, 1.0), DiscreteStable(0.7, 0.5, 1.0, 1.0)],
+                             ids=["SymmetricDS", "DiscreteStable"])
+    def test_mixing_rate_beyond_poisson_range_raises(self, monkeypatch, p, rate):
+        monkeypatch.setattr(sampling, "_stable_rates",
+                            lambda lam, alpha, rng, n: np.full(n, rate))
+        with pytest.raises(PrecisionError, match="range"):
+            sample_family(p, RngState(0), size=100)
+
+    def test_poisson_count_beyond_int_range_raises(self, monkeypatch):
+        # a rate inside numpy's range can still draw a count of 2^62 or more
+        monkeypatch.setattr(sampling, "_stable_rates",
+                            lambda lam, alpha, rng, n: np.full(n, 2.0**62 + 2.0**40))
+        with pytest.raises(PrecisionError, match="2\\^62"):
+            sample_family(DiscreteStable(0.7, 0.5, 1.0, 1.0), RngState(0), size=100)
+
+    def test_overflowing_rate_raises(self):
+        # at gamma = 0.05 the mixing rate lambda^20 S overflows float64 for some draws
+        with pytest.raises(PrecisionError, match="range"):
+            sample_family(SymmetricDS(0.05, 1.0, 1.0), RngState(0), size=100_000)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +452,8 @@ class TestSampleFamily:
 
     def test_truncated_jump_beyond_support_raises(self, monkeypatch):
         # a step sum that overshoots a*m must not reach the caller
-        monkeypatch.setattr(sampling, "_rademacher_sum", lambda k, gen: k + 1)
+        monkeypatch.setattr(sampling, "_from_table",
+                            lambda w, gen, count: np.full(count, 1000, dtype=np.int64))
         with pytest.raises(PrecisionError, match="support"):
             sample_family(TruncatedSDS(0.4, 1.0, 1.0, 8), RngState(0), size=1000)
 
@@ -380,10 +464,10 @@ class TestSampleFamily:
             sample_family(PolylogDS(0.05, 1.0, 0.0, 1.0), RngState(1), size=100_000)
 
     def test_capped_zeta_rejects_huge_draws(self):
-        # the cap m discards every overshoot, however large, without an error
+        # jumps come from a table on 1..m, so a heavy tail beyond m never shows
         p = TruncatedPolylogDS(0.05, 1.0, 1.0, 1.0, 64)
         x = sample_family(p, RngState(1), size=20_000)
-        j = _sample_jumps(p, RngState(2), 20_000)
+        j = p._jumps(RngState(2), 20_000)
         assert np.all(np.abs(j) <= 64) and np.all(j != 0)
         assert np.all(np.isfinite(x)) and np.all(x == np.round(x))
 
@@ -393,10 +477,11 @@ class TestSampleFamily:
     def test_jump_sum_beyond_int_range_raises(self, monkeypatch, count, jump):
         monkeypatch.setattr(sampling, "sample_poisson",
                             lambda rate, rng, n: np.full(n, count, dtype=np.int64))
-        monkeypatch.setattr(sampling, "_sample_jumps",
+        monkeypatch.setattr(TemperedDS, "_jumps",
                             lambda p, rng, total: np.full(total, jump, dtype=np.int64))
+        p = TemperedDS(0.6, 0.4, 1.0, 0.1, 0.5, 0.5)
         with pytest.raises(PrecisionError, match="2\\^62"):
-            sample_family(DiscreteStable(0.6, 0.4, 1.0, 0.1), RngState(0), size=1000)
+            sample_family(p, RngState(0), size=1000)
 
     @pytest.mark.parametrize("size", [-1, 2.5, "10"])
     def test_bad_size(self, size):
