@@ -147,26 +147,26 @@ def _decay_exponent(x: np.ndarray, tail: np.ndarray) -> float:
     return float(np.polyfit(np.log(x[last]), np.log(neg_log), 1)[0])
 
 
+def _fold_in(pmf: LatticePMF, x: float) -> float:
+    """Bound on the mass folded into |X| <= x, for tails decreasing past the window."""
+    cl = pmf.clamped()
+    return (x / pmf.a + 1.0) * (cl[0] + cl[-1])
+
+
 def _pmf_covering(p: FamilyParams, x_max: float, alias_tol: float,
                   n_max: int) -> LatticePMF:
-    """PMF whose window covers [0, x_max] with fold-in contamination < alias_tol.
-
-    The fold of out-of-window mass into |x| <= x_max is bounded (for tails
-    decreasing beyond the window) by (x_max/a + 1) times the edge masses.
-    """
-    n = 1 << 10
+    """PMF whose window reaches 4 x_max out with _fold_in(pmf, x_max) < alias_tol."""
+    # the smallest n >= 2^10 with a * (n // 2) >= 4 x_max; past n_max none covers
+    reach = min(float(n_max), 4.0 * x_max / p.a)
+    n = 2 << max(9, math.ceil(math.log2(reach)))
+    if n > n_max:
+        raise PrecisionError(
+            f"window 2^{int(math.log2(n_max))} cannot cover x = {x_max:g} "
+            f"with margin at lattice pitch {p.a:g}"
+        )
     while True:
-        if p.a * (n // 2) < 4.0 * x_max:
-            n *= 2
-            if n > n_max:
-                raise PrecisionError(
-                    f"window 2^{int(math.log2(n_max))} cannot cover x = {x_max:g} "
-                    f"with margin at lattice pitch {p.a:g}"
-                )
-            continue
         pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, n)
-        cl = pmf.clamped()
-        contamination = (x_max / p.a + 1.0) * (cl[0] + cl[-1])
+        contamination = _fold_in(pmf, x_max)
         if contamination < alias_tol:
             return pmf
         n *= 2
@@ -191,8 +191,7 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
     """
     if x_grid is None:
         pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, n_max)
-        cl = pmf.clamped()
-        edge = cl[0] + cl[-1]
+        edge = _fold_in(pmf, 0.0)  # the bound at x is (x/a + 1) * edge
         ceiling = p.a * (n_max // 8)  # stay well inside the window
         x_rel = ceiling if edge <= 0.0 else min(
             p.a * max(alias_tol / edge - 1.0, 0.0), ceiling)

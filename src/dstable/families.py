@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import _finite_polylog, polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
+from .special import _finite_polylog, polylog_unit, riemann_zeta, sibuya_pmf
 
 __all__ = [
     "StableParams",
@@ -167,6 +167,24 @@ def _one_minus_exp(theta: float, at: np.ndarray) -> np.ndarray:
     return re - 1j * damp * np.sin(at)
 
 
+def _finite_polylog_step(s: float, at: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k=1}^{m} (e^{i k at} - 1) k^-s, vectorized over at.
+
+    The real part is summed from -2 sin^2(k at / 2) k^-s, so it is never
+    positive; taking the difference of the two sums instead loses it to
+    cancellation near at = 0, where it is scaled by a^-alpha in the exponent.
+    """
+    out = np.zeros(at.shape, dtype=complex)
+    block = max(1, (1 << 20) // max(at.size, 1))
+    for lo in range(0, m, block):
+        k = np.arange(lo + 1.0, min(lo + block, m) + 1.0)
+        w = k**-s
+        kat = at[..., None] * k
+        out.real -= 2.0 * (np.sin(0.5 * kat) ** 2 @ w)
+        out.imag += np.sin(kat) @ w
+    return out
+
+
 def _cpow(z: np.ndarray, alpha: float) -> np.ndarray:
     """z**alpha on the principal branch with 0**alpha = 0 exactly."""
     z = np.asarray(z, dtype=complex)
@@ -183,13 +201,6 @@ def _walk_rate(p) -> float:
 def _intensity_sum(p) -> float:
     l1, l2 = p._intensities()
     return l1 + l2
-
-
-def _no_closed_form_weights(p, k: int) -> float:
-    raise DomainError(
-        "symmetric-walk families have no closed-form Levy weights; "
-        "use symmetric_levy_weights"
-    )
 
 
 def _ds_intensities(p):
@@ -234,11 +245,13 @@ class SymmetricDS:
 
     __post_init__ = _validate
     _total_intensity = _intensity_sum
-    _levy_weight = _no_closed_form_weights
 
     def _intensities(self):
         lam = _walk_rate(self)
         return 0.5 * lam, 0.5 * lam
+
+    def _levy_weight(self, k: int) -> float:
+        raise DomainError("SymmetricDS Levy weights come as a table: use symmetric_levy_weights")
 
     def _log_cf(self, at):
         return -_walk_rate(self) * (2.0 * np.sin(0.5 * at) ** 2) ** self.gamma + 0.0j
@@ -265,16 +278,16 @@ class TruncatedSDS:
     m: int
 
     __post_init__ = _validate
-    _levy_weight = _no_closed_form_weights
+    _total_intensity = _intensity_sum
     _draw = sampling._compound_poisson
 
     def _intensities(self):
-        lam_m = _walk_rate(self) * (1.0 - sibuya_survival(self.gamma, self.m))
+        w = _sibuya_weights(self.gamma, self.m)
+        lam_m = _walk_rate(self) * float(_cos_poly(w, np.array(1.0)))
         return 0.5 * lam_m, 0.5 * lam_m
 
-    def _total_intensity(self) -> float:
-        w = _sibuya_weights(self.gamma, self.m)
-        return _walk_rate(self) * float(_cos_poly(w, np.array(1.0)))
+    def _levy_weight(self, k: int) -> float:
+        raise DomainError("TruncatedSDS Levy weights have no closed form and are not computed")
 
     def _log_cf(self, at):
         w = _sibuya_weights(self.gamma, self.m)
@@ -441,10 +454,8 @@ class TruncatedPolylogDS:
         return self.p * h, self.q * h
 
     def _log_cf(self, at):
-        s = 1.0 + self.alpha
-        fin = _finite_polylog(s, at, self.m)
-        fin0 = _finite_polylog(s, 0.0, self.m)[0]
-        return self.a**-self.alpha * (self.p * (fin - fin0) + self.q * (np.conj(fin) - fin0))
+        fin = _finite_polylog_step(1.0 + self.alpha, at, self.m)
+        return self.a**-self.alpha * (self.p * fin + self.q * np.conj(fin))
 
     def _levy_weight(self, k: int) -> float:
         return 0.0 if abs(k) > self.m else _polylog_levy_weight(self, k)
@@ -529,8 +540,9 @@ def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
 def levy_weight(p: FamilyParams, k) -> float:
     """Mass of the Levy measure at lattice point a*k, k a nonzero integer.
 
-    Defined for the families whose jump law has closed-form weights; the
-    symmetric families need a convolution series (see symmetric_levy_weights).
+    Defined for the four families with a closed form per k; SymmetricDS
+    weights come as a table from symmetric_levy_weights, and TruncatedSDS
+    weights are not computed.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"k must be an integer, got {k!r}")
@@ -540,32 +552,25 @@ def levy_weight(p: FamilyParams, k) -> float:
     return _family(p)._levy_weight(k)
 
 
-def symmetric_levy_weights(p: SymmetricDS, k_max: int, terms: int = 2048) -> np.ndarray:
+def symmetric_levy_weights(p: SymmetricDS, k_max: int) -> np.ndarray:
     """Levy masses of SymmetricDS at lattice points a*1 .. a*k_max (symmetric in k).
 
-    Sums lam * sum_K w_K P(S_K = k) over K <= terms, where S_K is a K-step
-    +-1 walk; the dropped tail is bounded by lam * sibuya_survival(gamma, terms).
+    (1 - cos at)^g = 2^-g |1 - e^{iat}|^{2g}, so the masses are the fractional
+    centred-difference weights (Ortigueira 2006, Int. J. Math. Math. Sci.):
+    nu(k) = lam 2^-g Gamma(2g+1) / (Gamma(g) Gamma(g+2)) prod_{j=1}^{k-1} (j-g)/(j+1+g),
+    g = gamma, lam = sigma^{2g} (2/a^2)^g. At g = 1 only nu(1) = lam/2 is nonzero.
     """
     if not isinstance(p, SymmetricDS):
         raise DomainError("symmetric_levy_weights applies to SymmetricDS only")
-    if k_max < 1 or terms < 1:
-        raise DomainError("k_max and terms must be >= 1")
-    from scipy.stats import binom as _binom
-
-    lam = p._total_intensity()
-    w = _sibuya_weights(p.gamma, terms)
-    out = np.zeros(k_max)
-    ks = np.arange(1, k_max + 1)
-    for idx in range(terms):
-        steps = idx + 1
-        if w[idx] == 0.0:
-            continue
-        sel = ks <= steps
-        up = (ks[sel] + steps) / 2.0
-        mask = (ks[sel] + steps) % 2 == 0
-        pmf = np.where(mask, _binom.pmf(np.floor(up), steps, 0.5), 0.0)
-        out[sel] += lam * w[idx] * pmf
-    return out
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
+    g = p.gamma
+    nu = np.empty(k_max)
+    nu[0] = _walk_rate(p) * 2.0**-g * math.gamma(2.0 * g + 1.0) / (
+        math.gamma(g) * math.gamma(g + 2.0))
+    j = np.arange(1.0, k_max)
+    nu[1:] = nu[0] * np.cumprod((j - g) / (j + 1.0 + g))
+    return nu
 
 
 def target_stable(p: FamilyParams) -> AttractionTarget:

@@ -423,7 +423,7 @@ def test_levy_reconstruction_polylog_bound():
 def test_symmetric_levy_weights_rebuild_cf():
     p = SymmetricDS(0.9, 1.0, 1.0)
     terms = 4096
-    wts = symmetric_levy_weights(p, terms, terms=terms)  # walk cannot pass its step count
+    wts = symmetric_levy_weights(p, terms)
     lam = sum(derived_intensities(p))
     t = np.linspace(0.1, 3.0, 7)
     k = np.arange(1.0, terms + 1)
@@ -432,18 +432,59 @@ def test_symmetric_levy_weights_rebuild_cf():
     assert resid <= 2.0 * lam * sibuya_survival(p.gamma, terms)
 
 
-def test_symmetric_levy_weights_match_direct_convolution():
-    p = SymmetricDS(0.6, 1.3, 0.7)
+# nu(k) / lam = -2^-g (-1)^k binom(2g, g + k) at k = _SDS_LEVY_K, frozen from
+# mpmath to 40 digits; at g = 1 the law is a +-1 walk and only nu(1) is nonzero
+_SDS_LEVY_K = (1, 2, 3, 10, 100, 1000, 100_000)
+_SDS_LEVY_REF = {
+    0.05: (
+        4.617364524029957741873421593086205143706e-2,
+        2.139754291623638944402428434275934491548e-2,
+        1.368039629070851125196279182245947250999e-2,
+        3.635076111956979097835569112210681553649e-3,
+        2.887168699910865285360818520315666596754e-4,
+        2.293357431485986997215787122682215826615e-5,
+        1.447010700988230906295217589067873537496e-7,
+    ),
+    0.3: (
+        2.079363263127770236724313312775084841264e-1,
+        6.328496887780170416602747773331448700129e-2,
+        3.26013476037160297414541439967850888611e-2,
+        4.699509526388052996569860857495185024927e-3,
+        1.179248431617649916419781740081175944086e-4,
+        2.962107636689727457964887020615526532633e-6,
+        1.868963374157484568358977063298007596526e-9,
+    ),
+    0.5: (
+        3.001054387190353565183997303355801942215e-1,
+        6.00210877438070713036799460671160388443e-2,
+        2.572332331877445913014854831447830236184e-2,
+        2.256431870067935011416539325831430031741e-3,
+        2.250847061569304406498160431527639647653e-5,
+        2.2507913530906034465388596122317545146e-7,
+        2.250790790449034943649223851108082052939e-11,
+    ),
+    0.9: (
+        4.60070509142714318010454148014354463053e-1,
+        1.586450031526600732178113803193359043564e-2,
+        4.47460265302374553906165218532922409029e-3,
+        1.411844046767098884621888794819066801722e-4,
+        2.219940450671181189180512345153083586676e-7,
+        3.518090549174109670111095743560729297895e-10,
+        8.837036864036583913316542817266202006163e-16,
+    ),
+    1.0: (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(_SDS_LEVY_REF))
+def test_symmetric_levy_weights_closed_form(gamma):
+    p = SymmetricDS(gamma, 1.3, 0.7)
     lam = sum(derived_intensities(p))
-    terms = 64
-    got = symmetric_levy_weights(p, 8, terms=terms)
-    want = np.zeros(8)
-    for steps in range(1, terms + 1):
-        w_step = sibuya_pmf(p.gamma, steps)
-        for k in range(1, 9):
-            if (k + steps) % 2 == 0 and k <= steps:
-                want[k - 1] += lam * w_step * math.comb(steps, (k + steps) // 2) * 0.5**steps
-    assert np.max(np.abs(got - want)) < 1e-14
+    wts = symmetric_levy_weights(p, 100_000)
+    got = wts[np.array(_SDS_LEVY_K) - 1] / lam
+    np.testing.assert_allclose(got, _SDS_LEVY_REF[gamma], rtol=1e-11, atol=0.0)
+    if gamma == 1.0:
+        assert np.count_nonzero(wts) == 1
 
 
 def test_symmetric_levy_weights_domain():
@@ -482,6 +523,19 @@ def test_truncated_polylog_approaches_polylog():
         if prev is not None:
             assert d < prev
         prev = d
+
+
+@pytest.mark.parametrize("p", [
+    TruncatedPolylogDS(2.5, 0.01, 1.0, 0.03125, 6),
+    TruncatedPolylogDS(2.875, 0.01, 1.0, 0.03125, 16),
+    TruncatedPolylogDS(3.0, 1.01, 1.0, 0.03125, 1000),
+], ids=lambda p: f"alpha{p.alpha}-m{p.m}")
+def test_truncated_polylog_cf_modulus_near_zero(p):
+    # a^-alpha is ~3e4 here: the real part of the exponent must not round
+    # above 0 next to t = 0, where the jump terms nearly cancel
+    t = np.linspace(-math.pi / p.a, math.pi / p.a, 101)
+    assert np.max(np.abs(char_fn(p, t))) <= 1.0
+    assert np.max(char_fn(p, t * 1e-6).real) <= 1.0
 
 
 # ---------------------------------------------------------------------------
