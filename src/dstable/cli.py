@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,24 +27,22 @@ from .families import (
     TemperedDS,
     TruncatedPolylogDS,
     TruncatedSDS,
+    _RULES,
     char_fn,
 )
 from .inversion import pmf_auto, pmf_from_cf
 from .sampling import RngState, sample_family
 
-# family name -> (constructor, parameter flags in constructor order)
+# family name -> (constructor, parameter flags in constructor order): the
+# dataclass fields, named as in messages (p, q -> P, Q)
 _FAMILIES = {
-    "sds": (SymmetricDS, ("gamma", "sigma", "a")),
-    "truncated-sds": (TruncatedSDS, ("gamma", "sigma", "a", "m")),
-    "ds": (DiscreteStable, ("alpha", "beta", "sigma", "a")),
-    "tempered-ds": (TemperedDS, ("alpha", "beta", "sigma", "a",
-                                 "theta1", "theta2")),
-    "polylog-ds": (PolylogDS, ("alpha", "P", "Q", "a")),
-    "truncated-polylog-ds": (TruncatedPolylogDS, ("alpha", "P", "Q", "a", "m")),
+    name: (cls, tuple(_RULES[f.name][0] for f in fields(cls)))
+    for name, cls in (("sds", SymmetricDS), ("truncated-sds", TruncatedSDS),
+                      ("ds", DiscreteStable), ("tempered-ds", TemperedDS),
+                      ("polylog-ds", PolylogDS), ("truncated-polylog-ds", TruncatedPolylogDS))
 }
 
-_PARAM_FLAGS = ("gamma", "sigma", "a", "m", "alpha", "beta", "theta1",
-                "theta2", "P", "Q")
+_PARAM_FLAGS = {flag for _, flags in _FAMILIES.values() for flag in flags}
 
 # table rows are formatted column by column, this many rows at a time
 _ROW_BLOCK = 1 << 16

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import _finite_polylog, polylog_unit, riemann_zeta, sibuya_pmf
+from .special import _finite_polylog_step, polylog_unit, riemann_zeta, sibuya_pmf
 
 __all__ = [
     "StableParams",
@@ -167,24 +167,6 @@ def _one_minus_exp(theta: float, at: np.ndarray) -> np.ndarray:
     return re - 1j * damp * np.sin(at)
 
 
-def _finite_polylog_step(s: float, at: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k=1}^{m} (e^{i k at} - 1) k^-s, vectorized over at.
-
-    The real part is summed from -2 sin^2(k at / 2) k^-s, so it is never
-    positive; taking the difference of the two sums instead loses it to
-    cancellation near at = 0, where it is scaled by a^-alpha in the exponent.
-    """
-    out = np.zeros(at.shape, dtype=complex)
-    block = max(1, (1 << 20) // max(at.size, 1))
-    for lo in range(0, m, block):
-        k = np.arange(lo + 1.0, min(lo + block, m) + 1.0)
-        w = k**-s
-        kat = at[..., None] * k
-        out.real -= 2.0 * (np.sin(0.5 * kat) ** 2 @ w)
-        out.imag += np.sin(kat) @ w
-    return out
-
-
 def _cpow(z: np.ndarray, alpha: float) -> np.ndarray:
     """z**alpha on the principal branch with 0**alpha = 0 exactly."""
     z = np.asarray(z, dtype=complex)
@@ -321,7 +303,8 @@ class DiscreteStable:
     def _log_cf(self, at):
         l1, l2 = self._intensities()
         z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)  # 1 - e^{i at}
-        return -l1 * _cpow(z, self.alpha) - l2 * _cpow(np.conj(z), self.alpha)
+        w = _cpow(z, self.alpha)  # (conj z)^alpha = conj(z^alpha) off the branch cut
+        return -l1 * w - l2 * np.conj(w)
 
     def _levy_weight(self, k: int) -> float:
         l1, l2 = self._intensities()
@@ -450,7 +433,7 @@ class TruncatedPolylogDS:
     _draw = sampling._compound_poisson
 
     def _intensities(self):
-        h = float(np.real(_finite_polylog(1.0 + self.alpha, 0.0, self.m)[0])) * self.a**-self.alpha
+        h = float(np.sum(np.arange(1.0, self.m + 1.0) ** -(1.0 + self.alpha))) * self.a**-self.alpha
         return self.p * h, self.q * h
 
     def _log_cf(self, at):

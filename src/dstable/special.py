@@ -13,7 +13,6 @@ so they are always summed as one regularised pair.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.special import exprel, factorial, polygamma, zeta
@@ -33,6 +32,8 @@ _B2J = (
 )
 
 _CHUNK = 8192
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI, from 40-digit mpmath
 
 
 def _stirling_tail(z: float) -> float:
@@ -244,15 +245,39 @@ def _series(s: float):
     return block
 
 
-def _finite_polylog(s: float, theta, m: int) -> np.ndarray:
-    """sum_{k=1}^{m} e^{i k theta} k^{-s}, vectorized over theta."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.zeros(th.shape, dtype=complex)
-    block = max(1, (1 << 20) // max(th.size, 1))
-    for lo in range(0, m, block):
-        k = np.arange(lo + 1.0, min(lo + block, m) + 1.0)
-        out += np.exp(1j * th[..., None] * k) @ (k**-s).astype(complex)
-    return out
+def _finite_polylog_step(s: float, theta, m: int) -> np.ndarray:
+    """sum_{k=1}^{m} (e^{i k theta} - 1) k^-s, vectorized over theta.
+
+    Baby-step/giant-step: with K = isqrt(m), k = K q + r (r < K) and the weights
+    k^-s as a Q x K matrix W (zero at k = 0 and past m), angle addition gives
+      1 - cos(k theta) = V_q cos(r theta) + v_r + S_q s_r,
+      sin(k theta)     = S_q cos(r theta) + (1 - V_q) s_r,
+    v_r = 2 sin^2(r theta/2), s_r = sin(r theta), V_q = 2 sin^2(K q theta/2), S_q =
+    sin(K q theta). That costs 2 (K + Q) = O(sqrt m) sines per point plus the matmuls
+    V W and S W, against 2 m sines term by term. Built from versines, the real part is
+    never positive while m |theta| <= pi and keeps its relative accuracy next to 0
+    (and, theta being reduced by 2 pi in two parts, next to every multiple of 2 pi).
+    """
+    flat = np.ravel(theta)
+    big = math.isqrt(m)
+    w = np.zeros((m // big + 1, big))
+    w.flat[1 : m + 1] = np.arange(1.0, m + 1.0) ** -s
+    w_r = w.sum(axis=0)
+    baby, giant = np.arange(big), big * np.arange(w.shape[0])
+    out = np.empty(flat.shape, dtype=complex)
+    rows = max(1, (1 << 20) // (baby.size + giant.size))  # ~2^20 entries a block
+    for lo in range(0, flat.size, rows):
+        x0 = flat[lo : lo + rows, None]
+        # x0 - 2 pi j in [-pi, pi]: the fmod and the wrap by _TWO_PI are exact
+        x = np.fmod(x0, _TWO_PI)
+        x -= _TWO_PI * np.rint(x / _TWO_PI)
+        x -= np.rint((x0 - x) / _TWO_PI) * _TWO_PI_LO
+        v, s_r = 2.0 * np.sin(0.5 * x * baby) ** 2, np.sin(x * baby)
+        vw = 2.0 * np.sin(0.5 * x * giant) ** 2 @ w
+        sw = np.sin(x * giant) @ w
+        out.real[lo : lo + rows] = -((1.0 - v) * vw + v * w_r + s_r * sw).sum(axis=1)
+        out.imag[lo : lo + rows] = ((1.0 - v) * sw + s_r * (w_r - vw)).sum(axis=1)
+    return out.reshape(np.shape(theta))
 
 
 def polylog_unit(s: float, theta):
@@ -260,7 +285,7 @@ def polylog_unit(s: float, theta):
 
     Below s = 60 it sums the zeta series above in mu = i theta, one Horner pass per
     block, with theta moved into [-pi, pi] only where it lies outside; from s = 60 on
-    it sums the first 63 terms of sum_k e^{i k theta} k^-s.  At theta = 0 it returns
+    it adds zeta(s) to _finite_polylog_step at m = 63.  At theta = 0 it returns
     zeta(s) with imaginary part exactly 0.  Against 40-digit mpmath values at 955 s in
     (1, 1000), integers and s within 1e-12 of them included, and 21 theta in
     [-9, 100], the largest absolute error measured was 9.2e-15, and the largest
@@ -274,7 +299,7 @@ def polylog_unit(s: float, theta):
         raise DomainError("polylog_unit requires finite theta")
     flat = np.atleast_1d(th).ravel()
     # from s = 60 on only k = 1..63 contribute above float64 resolution
-    block = partial(_finite_polylog, s, m=63) if s >= 60.0 else _series(s)
+    block = _series(s) if s < 60.0 else lambda th: zeta(s) + _finite_polylog_step(s, th, 63)
     out = np.empty(flat.shape, dtype=complex)
     for lo in range(0, flat.size, _CHUNK):
         out[lo : lo + _CHUNK] = block(flat[lo : lo + _CHUNK])
