@@ -17,10 +17,11 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import _finite_polylog_step, polylog_unit, riemann_zeta, sibuya_pmf
+from .special import _finite_polylog_step, _finite_step, polylog_unit, riemann_zeta, sibuya_pmf
 
 __all__ = [
     "StableParams",
@@ -152,14 +153,6 @@ def _sibuya_weights(gamma: float, m: int) -> np.ndarray:
     return w
 
 
-def _cos_poly(w: np.ndarray, c: np.ndarray):
-    """sum_k w[k-1] * c**k evaluated by Horner (c may be any ndarray)."""
-    acc = np.zeros_like(c)
-    for wk in w[::-1]:
-        acc = (acc + wk) * c
-    return acc
-
-
 def _one_minus_exp(theta: float, at: np.ndarray) -> np.ndarray:
     """1 - e^{-theta} e^{i at}, with the real part formed without cancellation."""
     damp = math.exp(-theta)
@@ -252,7 +245,10 @@ class SymmetricDS:
 
 @dataclass(frozen=True)
 class TruncatedSDS:
-    """SymmetricDS with the jump-size series truncated at m steps."""
+    """SymmetricDS with the jump-size series truncated at m steps.
+
+    Log CF lambda (P(cos at) - P(1)), P(c) = sum_{k<=m} w_k c^k, w the Sibuya masses, is
+    lambda sum_j b_j (cos(j at) - 1) with b_j >= 0: lambda b_j / 2 is the Levy mass at +-j."""
 
     gamma: float
     sigma: float
@@ -263,25 +259,27 @@ class TruncatedSDS:
     _total_intensity = _intensity_sum
     _draw = sampling._compound_poisson
 
+    def _cosine_weights(self) -> np.ndarray:
+        """b_0..b_m; poly2cheb drops trailing ones that underflow to 0 (m past ~1000)."""
+        return poly2cheb(np.r_[0.0, _sibuya_weights(self.gamma, self.m)])
+
     def _intensities(self):
-        w = _sibuya_weights(self.gamma, self.m)
-        lam_m = _walk_rate(self) * float(_cos_poly(w, np.array(1.0)))
+        lam_m = _walk_rate(self) * float(np.sum(_sibuya_weights(self.gamma, self.m)))
         return 0.5 * lam_m, 0.5 * lam_m
 
     def _levy_weight(self, k: int) -> float:
-        raise DomainError("TruncatedSDS Levy weights have no closed form and are not computed")
+        b = self._cosine_weights()
+        return 0.5 * _walk_rate(self) * float(b[abs(k)]) if abs(k) < b.size else 0.0
 
     def _log_cf(self, at):
-        w = _sibuya_weights(self.gamma, self.m)
-        c = np.cos(at)
-        return _walk_rate(self) * (_cos_poly(w, c) - _cos_poly(w, np.array(1.0))) + 0.0j
+        return _walk_rate(self) * _finite_step(self._cosine_weights()[1:], at).real + 0.0j
 
     def _target(self) -> AttractionTarget:
         return AttractionTarget(StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=True)
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        k = sampling._from_table(_sibuya_weights(self.gamma, self.m), rng.generator, count)
-        steps = 2 * rng.generator.binomial(k, 0.5) - k  # K fair +-1 steps, as one binomial
+        sign = sampling._signs(0.5, rng.generator, count)
+        steps = sign * (sampling._from_table(self._cosine_weights(), rng.generator, count) - 1)
         if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
             raise PrecisionError(f"TruncatedSDS jump beyond its support a*m, m = {self.m}")
         return steps
@@ -483,17 +481,17 @@ def char_fn(p: FamilyParams, t) -> np.ndarray:
     return complex(g[0]) if scalar else g.reshape(t_arr.shape)
 
 
-def stable_cf(s: StableParams, t, symmetric: bool = False) -> np.ndarray:
+def stable_cf(s: StableParams, t) -> np.ndarray:
     """CF of the limiting strictly stable law.
 
-    With `symmetric` (or beta = 0): exp(-sigma^alpha |t|^alpha), alpha in (0, 2].
-    Otherwise the skewed strictly stable form, which requires alpha in (0, 1).
+    At beta = 0: exp(-sigma^alpha |t|^alpha), alpha in (0, 2]. Otherwise the
+    skewed strictly stable form, which requires alpha in (0, 1).
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     tt = np.atleast_1d(t_arr)
     mag = (s.sigma * np.abs(tt)) ** s.alpha
-    if symmetric or s.beta == 0.0:
+    if s.beta == 0.0:
         g = np.exp(-mag).astype(complex)
     else:
         if s.alpha == 1.0:
@@ -523,9 +521,9 @@ def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
 def levy_weight(p: FamilyParams, k) -> float:
     """Mass of the Levy measure at lattice point a*k, k a nonzero integer.
 
-    Defined for the four families with a closed form per k; SymmetricDS
-    weights come as a table from symmetric_levy_weights, and TruncatedSDS
-    weights are not computed.
+    Defined for five families; SymmetricDS weights come as a table from
+    symmetric_levy_weights. TruncatedSDS weights are lambda b_|k| / 2 from the
+    Chebyshev coefficients of its cosine series, computed in O(m^2) per call.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"k must be an integer, got {k!r}")

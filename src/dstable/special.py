@@ -227,9 +227,7 @@ def _series(s: float):
     at_one = float(zeta(s))  # Li_s(1); the pair would need L = -inf there
 
     def block(theta):
-        # reduce |theta| so the map stays exactly odd; [-pi, pi] comes back unchanged
-        r = np.remainder(np.abs(theta), 2.0 * np.pi)
-        theta = np.sign(theta) * np.where(r > np.pi, r - 2.0 * np.pi, r)
+        theta = _reduce_angle(theta)
         mu = 1j * theta
         acc = np.full(theta.shape, coeff[-1], dtype=complex)
         for c in coeff[-2::-1]:
@@ -245,39 +243,53 @@ def _series(s: float):
     return block
 
 
-def _finite_polylog_step(s: float, theta, m: int) -> np.ndarray:
-    """sum_{k=1}^{m} (e^{i k theta} - 1) k^-s, vectorized over theta.
+def _reduce_angle(theta):
+    """theta - 2 pi j in [-pi, pi], exactly odd in theta; [-pi, pi] comes back unchanged.
+
+    The fmod and the wrap by _TWO_PI are exact, and j (2 pi - _TWO_PI) is subtracted
+    after, so the result keeps its relative accuracy next to every multiple of 2 pi. Past
+    |theta| ~ 1e16 that term exceeds pi, and a second fmod and wrap bring x back."""
+    x = np.fmod(theta, _TWO_PI)
+    x -= _TWO_PI * np.rint(x / _TWO_PI)
+    x = np.fmod(x - np.rint((theta - x) / _TWO_PI) * _TWO_PI_LO, _TWO_PI)
+    return x - _TWO_PI * np.rint(x / _TWO_PI)
+
+
+def _finite_step(weights: np.ndarray, theta) -> np.ndarray:
+    """sum_{k=1}^{m} (e^{i k theta} - 1) w_k, w_k = weights[k-1] >= 0, vectorized over theta.
 
     Baby-step/giant-step: with K = isqrt(m), k = K q + r (r < K) and the weights
-    k^-s as a Q x K matrix W (zero at k = 0 and past m), angle addition gives
+    as a Q x K matrix W (zero at k = 0 and past m), angle addition gives
       1 - cos(k theta) = V_q cos(r theta) + v_r + S_q s_r,
       sin(k theta)     = S_q cos(r theta) + (1 - V_q) s_r,
     v_r = 2 sin^2(r theta/2), s_r = sin(r theta), V_q = 2 sin^2(K q theta/2), S_q =
     sin(K q theta). That costs 2 (K + Q) = O(sqrt m) sines per point plus the matmuls
     V W and S W, against 2 m sines term by term. Built from versines, the real part is
     never positive while m |theta| <= pi and keeps its relative accuracy next to 0
-    (and, theta being reduced by 2 pi in two parts, next to every multiple of 2 pi).
+    (and, theta going through _reduce_angle, next to every multiple of 2 pi).
     """
     flat = np.ravel(theta)
+    m = weights.size
     big = math.isqrt(m)
     w = np.zeros((m // big + 1, big))
-    w.flat[1 : m + 1] = np.arange(1.0, m + 1.0) ** -s
+    w.flat[1 : m + 1] = weights
     w_r = w.sum(axis=0)
     baby, giant = np.arange(big), big * np.arange(w.shape[0])
     out = np.empty(flat.shape, dtype=complex)
     rows = max(1, (1 << 20) // (baby.size + giant.size))  # ~2^20 entries a block
     for lo in range(0, flat.size, rows):
-        x0 = flat[lo : lo + rows, None]
-        # x0 - 2 pi j in [-pi, pi]: the fmod and the wrap by _TWO_PI are exact
-        x = np.fmod(x0, _TWO_PI)
-        x -= _TWO_PI * np.rint(x / _TWO_PI)
-        x -= np.rint((x0 - x) / _TWO_PI) * _TWO_PI_LO
+        x = _reduce_angle(flat[lo : lo + rows, None])
         v, s_r = 2.0 * np.sin(0.5 * x * baby) ** 2, np.sin(x * baby)
         vw = 2.0 * np.sin(0.5 * x * giant) ** 2 @ w
         sw = np.sin(x * giant) @ w
         out.real[lo : lo + rows] = -((1.0 - v) * vw + v * w_r + s_r * sw).sum(axis=1)
         out.imag[lo : lo + rows] = ((1.0 - v) * sw + s_r * (w_r - vw)).sum(axis=1)
     return out.reshape(np.shape(theta))
+
+
+def _finite_polylog_step(s: float, theta, m: int) -> np.ndarray:
+    """sum_{k=1}^{m} (e^{i k theta} - 1) k^-s: _finite_step with weights k^-s."""
+    return _finite_step(np.arange(1.0, m + 1.0) ** -s, theta)
 
 
 def polylog_unit(s: float, theta):

@@ -25,7 +25,7 @@ from dstable.families import (
     symmetric_levy_weights,
     target_stable,
 )
-from dstable.families import _cos_poly, _cpow, _one_minus_exp, _sibuya_weights
+from dstable.families import _cpow, _one_minus_exp, _walk_rate
 from dstable.sampling import RngState, sample_family
 from dstable.special import polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
 
@@ -179,8 +179,13 @@ def _jump_cf_reference(p, t):
     if isinstance(p, SymmetricDS):
         return 1.0 - (2.0 * np.sin(0.5 * at) ** 2) ** p.gamma + 0.0j
     if isinstance(p, TruncatedSDS):
-        w = _sibuya_weights(p.gamma, p.m)
-        return _cos_poly(w, np.cos(at)) / float(_cos_poly(w, np.array(1.0))) + 0.0j
+        # a jump is a walk of K fair +-1 steps, K ~ Sibuya on 1..m: h = P(cos at) / P(1)
+        # with P(c) = sum_k w_k c^k, summed by Horner from its definition
+        w = [sibuya_pmf(p.gamma, k) for k in range(1, p.m + 1)]
+        c, acc = np.cos(at), 0.0
+        for wk in reversed(w):
+            acc = (acc + wk) * c
+        return acc / sum(w) + 0.0j
     if isinstance(p, DiscreteStable):
         l1, l2 = derived_intensities(p)
         z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)
@@ -320,13 +325,6 @@ def test_stable_cf_values():
     assert abs(stable_cf(StableParams(0.5, 1.0, 1.0), -1.0) - want.conjugate()) < 1e-15
 
 
-def test_stable_cf_symmetric_flag_overrides_beta():
-    s = StableParams(1.5, 0.7, 1.0)
-    t = np.linspace(-2, 2, 41)
-    assert np.allclose(stable_cf(s, t, symmetric=True),
-                       np.exp(-np.abs(t) ** 1.5), rtol=0, atol=1e-15)
-
-
 def test_stable_cf_skewed_domain_errors():
     with pytest.raises(DomainError):
         stable_cf(StableParams(1.0, 0.5, 1.0), 1.0)
@@ -352,6 +350,14 @@ def test_levy_weight_values():
     tr = TruncatedPolylogDS(1.0, 1.0, 1.0, 1.0, 5)
     assert levy_weight(tr, 5) == pytest.approx(1.0 / 25.0, rel=1e-15)
     assert levy_weight(tr, 6) == 0.0
+    # TruncatedSDS at gamma = 1/2, m = 4: walk lengths w = (1/2, 1/8, 1/16, 5/128),
+    # nu_j = lambda sum_k w_k P(k-step walk ends at j), lambda = sqrt 2
+    ts = TruncatedSDS(0.5, 1.0, 1.0, 4)
+    lam = math.sqrt(2.0)
+    assert levy_weight(ts, 1) == pytest.approx(lam * (0.5 / 2 + 3 / 8 / 16), rel=1e-15)
+    assert levy_weight(ts, -2) == pytest.approx(lam * (1 / 8 / 4 + 4 / 16 * 5 / 128), rel=1e-15)
+    assert levy_weight(ts, 4) == pytest.approx(lam * 5 / 128 / 16, rel=1e-15)
+    assert levy_weight(ts, 5) == 0.0
 
 
 def test_levy_weight_domain_errors():
@@ -362,8 +368,44 @@ def test_levy_weight_domain_errors():
         levy_weight(p, 1.5)
     with pytest.raises(DomainError):
         levy_weight(SymmetricDS(0.5, 1.0, 1.0), 1)
-    with pytest.raises(DomainError):
-        levy_weight(TruncatedSDS(0.5, 1.0, 1.0, 4), 1)
+
+
+# levy_weight(TruncatedSDS(0.4, 1, 1, 8), k) from 40-digit mpmath:
+# lambda sum_{k<=8} w_k P(k-step walk ends at j), w_k the Sibuya masses
+_TSDS_LEVY_MPMATH = {1: 0.31454851819535703, -1: 0.31454851819535703,
+                     2: 0.064784291581684952, 8: 7.8117507333576885e-5}
+
+
+def test_truncated_sds_levy_weight_mpmath():
+    p = TruncatedSDS(0.4, 1.0, 1.0, 8)
+    for k, ref in _TSDS_LEVY_MPMATH.items():
+        assert abs(levy_weight(p, k) - ref) <= 1e-15 * ref
+    assert levy_weight(p, 9) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.4, 0.9, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 8, 300, 2048])
+def test_truncated_sds_cosine_weights_keep_the_walk_mass(gamma, m):
+    # P(1) = sum_j b_j: the cosine series keeps every walk, the ones ending at 0 in b_0
+    b = TruncatedSDS(gamma, 1.0, 1.0, m)._cosine_weights()
+    assert np.all(b >= 0.0)
+    assert abs(b.sum() - math.fsum(sibuya_pmf(gamma, k) for k in range(1, m + 1))) <= 1e-15
+
+
+@pytest.mark.parametrize("gamma,sigma,a", [(0.4, 1.0, 1.0), (0.9, 1.3, 0.5)])
+def test_truncated_sds_levy_weights_approach_symmetric(gamma, sigma, a):
+    # nu_k - nu_k^(m) = lambda sum_{j>m} w_j P(j-step walk ends at k), in [0, lambda P(K > m)]
+    ks = (1, 2, 3, 10, 15)
+    nu = symmetric_levy_weights(SymmetricDS(gamma, sigma, a), max(ks))
+    lam = _walk_rate(SymmetricDS(gamma, sigma, a))
+    prev = None
+    for m in (16, 256, 2048):
+        d = np.array([nu[k - 1] - levy_weight(TruncatedSDS(gamma, sigma, a, m), k) for k in ks])
+        assert np.all(d >= 0.0)
+        assert np.all(d <= lam * sibuya_survival(gamma, m))
+        if prev is not None:
+            assert np.all(d < prev)
+        prev = d
 
 
 def _reconstruct_log_cf(p, t, k_max):
@@ -513,6 +555,30 @@ def test_truncated_sds_approaches_symmetric():
         prev = d
 
 
+# log CF of TruncatedSDS(0.4, 1, 1, m) at a t in _TSDS_AT, from 40-digit mpmath:
+# 2^0.4 sum_{k<=m} w_k (cos^k(at) - 1), w_k the Sibuya masses
+_TSDS_AT = (1e-9, 1e-5, 1e-3, 1.0, 3.0)
+_TSDS_LOG_CF_MPMATH = {
+    1: (-2.639015821545789e-19, -2.6390158215237973e-11, -2.639015601627811e-7,
+        -0.24262989758841919, -1.0503243366571959),
+    8: (-1.0132361484547147e-18, -1.0132361483797775e-10, -1.0132353990826694e-6,
+        -0.58710461469913334, -1.3492873632401398),
+    64: (-3.574654650900827e-18, -3.574654648759758e-10, -3.574633240346691e-6,
+         -0.79938118487775044, -1.5697767427499795),
+    300: (-9.0456344028665747e-18, -9.0456343774351512e-10, -9.0453800964162747e-6,
+          -0.87648677761006094, -1.6471517894849931),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_TSDS_LOG_CF_MPMATH))
+def test_truncated_sds_log_cf_mpmath(m):
+    # relative accuracy down to a t = 1e-9, where cos(at) rounds to 1
+    got = TruncatedSDS(0.4, 1.0, 1.0, m)._log_cf(np.array(_TSDS_AT))
+    ref = np.array(_TSDS_LOG_CF_MPMATH[m])
+    assert np.all(got.imag == 0.0)
+    assert np.max(np.abs(got.real - ref) / np.abs(ref)) <= 1e-14
+
+
 def test_truncated_polylog_approaches_polylog():
     full = PolylogDS(0.7, 1.2, 0.4, 0.5)
     t = np.linspace(-math.pi / 0.5, math.pi / 0.5, 801)
@@ -578,12 +644,12 @@ def test_target_stable_polylog():
 
 def test_target_stable_small_lattice_cf_agreement():
     # the whole point of the target: CFs approach it as a -> 0
-    for p, sym in [
-        (SymmetricDS(0.75, 1.0, 0.01), True),
-        (DiscreteStable(0.7, 0.5, 1.0, 0.01), False),
-        (PolylogDS(0.8, 1.0, 1.0, 0.01), False),
+    for p in [
+        SymmetricDS(0.75, 1.0, 0.01),
+        DiscreteStable(0.7, 0.5, 1.0, 0.01),
+        PolylogDS(0.8, 1.0, 1.0, 0.01),
     ]:
         tgt = target_stable(p).stable
         t = np.linspace(-5.0, 5.0, 201)
-        d = np.max(np.abs(char_fn(p, t) - stable_cf(tgt, t, symmetric=sym)))
+        d = np.max(np.abs(char_fn(p, t) - stable_cf(tgt, t)))
         assert d < 0.02, type(p).__name__
