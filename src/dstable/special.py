@@ -249,6 +249,8 @@ def _reduce_angle(theta):
     The fmod and the wrap by _TWO_PI are exact, and j (2 pi - _TWO_PI) is subtracted
     after, so the result keeps its relative accuracy next to every multiple of 2 pi. Past
     |theta| ~ 1e16 that term exceeds pi, and a second fmod and wrap bring x back."""
+    if np.max(np.abs(theta), initial=0.0) <= np.pi:  # the grids never leave [-pi, pi]
+        return theta
     x = np.fmod(theta, _TWO_PI)
     x -= _TWO_PI * np.rint(x / _TWO_PI)
     x = np.fmod(x - np.rint((theta - x) / _TWO_PI) * _TWO_PI_LO, _TWO_PI)
