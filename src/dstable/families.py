@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -21,7 +22,7 @@ from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import _finite_polylog_step, _finite_step, polylog_unit, riemann_zeta, sibuya_pmf
+from .special import _finite_step, polylog_unit, riemann_zeta, sibuya_pmf
 
 __all__ = [
     "StableParams",
@@ -184,11 +185,6 @@ def _ds_intensities(p):
     return scale * (1.0 + p.beta), scale * (1.0 - p.beta)
 
 
-def _polylog_levy_weight(p, k: int) -> float:
-    side = p.p if k > 0 else p.q
-    return side * p.a**-p.alpha * float(abs(k)) ** -(1.0 + p.alpha)
-
-
 def _polylog_target(p, gaussian: bool) -> AttractionTarget:
     if p.alpha >= 2.0:
         return AttractionTarget(None, gaussian=True)
@@ -207,7 +203,40 @@ def _polylog_target(p, gaussian: bool) -> AttractionTarget:
 # vanishes at at = 0; _levy_weight(k) for a nonzero integer k; _target();
 # and _draw(rng, n), n draws in lattice steps: a Poisson mixture over a stable
 # rate, or a Poisson(Lambda) sum of _jumps(rng, count) in lattice units.
+# The truncated pair defines only _table and _target; _FiniteLevy does the rest.
 # ---------------------------------------------------------------------------
+
+
+class _FiniteLevy:
+    """A finite Levy measure: mass right w[k] at +k and left w[k] at -k, k = 1..m.
+
+    Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a
+    cached_property, so it is built once per object."""
+
+    _total_intensity = _intensity_sum
+    _draw = sampling._compound_poisson
+
+    def _intensities(self):
+        right, left, w = self._table
+        total = float(np.sum(w))
+        return right * total, left * total
+
+    def _log_cf(self, at):
+        right, left, w = self._table
+        step = _finite_step(w[1:], at)
+        return right * step + left * np.conj(step)
+
+    def _levy_weight(self, k: int) -> float:
+        right, left, w = self._table
+        return (right if k > 0 else left) * float(w[abs(k)]) if abs(k) < w.size else 0.0
+
+    def _jumps(self, rng, count: int) -> np.ndarray:
+        right, left, w = self._table
+        sign = sampling._signs(right / (right + left), rng.generator, count)
+        steps = sign * (sampling._from_table(w, rng.generator, count) - 1)
+        if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
+            raise PrecisionError(f"{type(self).__name__} jump past its support a*m, m = {self.m}")
+        return steps
 
 
 @dataclass(frozen=True)
@@ -244,13 +273,12 @@ class SymmetricDS:
 
 
 @dataclass(frozen=True)
-class TruncatedSDS:
+class TruncatedSDS(_FiniteLevy):
     """SymmetricDS with the jump-size series truncated at m steps.
 
     Log CF lambda (P(cos at) - P(1)), P(c) = sum_{k<=m} w_k c^k, w the Sibuya masses, is
-    lambda sum_j b_j (cos(j at) - 1) with b_j >= 0: lambda b_j / 2 is the Levy mass at +-j.
-    b costs O(m^2) and is rebuilt on every char_fn and levy_weight call and every 2^16-draw
-    sampling batch; past m ~ 1000 that outweighs the draws (4x the time at m = 4096)."""
+    lambda sum_j b_j (cos(j at) - 1) with b_j >= 0: lambda b_j / 2 is the Levy mass at +-j,
+    b_0 the walks that end at 0 (Lambda counts them). b costs O(m^2), once per object."""
 
     gamma: float
     sigma: float
@@ -258,33 +286,15 @@ class TruncatedSDS:
     m: int
 
     __post_init__ = _validate
-    _total_intensity = _intensity_sum
-    _draw = sampling._compound_poisson
 
-    def _cosine_weights(self) -> np.ndarray:
-        """b_0..b_m; poly2cheb drops trailing ones that underflow to 0 (m past ~1000)."""
-        return poly2cheb(np.r_[0.0, _sibuya_weights(self.gamma, self.m)])
-
-    def _intensities(self):
-        lam_m = _walk_rate(self) * float(np.sum(_sibuya_weights(self.gamma, self.m)))
-        return 0.5 * lam_m, 0.5 * lam_m
-
-    def _levy_weight(self, k: int) -> float:
-        b = self._cosine_weights()
-        return 0.5 * _walk_rate(self) * float(b[abs(k)]) if abs(k) < b.size else 0.0
-
-    def _log_cf(self, at):
-        return _walk_rate(self) * _finite_step(self._cosine_weights()[1:], at).real + 0.0j
+    @cached_property
+    def _table(self):
+        # poly2cheb drops trailing b_j that underflow to 0 (m past ~1000)
+        half = 0.5 * _walk_rate(self)
+        return half, half, poly2cheb(np.r_[0.0, _sibuya_weights(self.gamma, self.m)])
 
     def _target(self) -> AttractionTarget:
         return AttractionTarget(StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=True)
-
-    def _jumps(self, rng, count: int) -> np.ndarray:
-        sign = sampling._signs(0.5, rng.generator, count)
-        steps = sign * (sampling._from_table(self._cosine_weights(), rng.generator, count) - 1)
-        if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
-            raise PrecisionError(f"TruncatedSDS jump beyond its support a*m, m = {self.m}")
-        return steps
 
 
 @dataclass(frozen=True)
@@ -371,15 +381,15 @@ class TemperedDS:
 
     def _jumps(self, rng, count: int) -> np.ndarray:
         lam1, lam2 = self._side_rates()
-        pos = rng.generator.random(count) < lam1 / (lam1 + lam2)
+        sign = sampling._signs(lam1 / (lam1 + lam2), rng.generator, count)
         mag = np.empty(count, dtype=np.int64)
-        for side, theta in ((pos, self.theta1), (~pos, self.theta2)):
+        for side, theta in ((sign > 0, self.theta1), (sign < 0, self.theta2)):
             n_side = int(side.sum())
             if theta > 0.0:
                 mag[side] = sampling.sample_tempered_sibuya(self.alpha, theta, rng, n_side)
             else:
                 mag[side] = sampling.sample_sibuya(self.alpha, rng, n_side)
-        return np.where(pos, 1, -1) * mag
+        return sign * mag
 
 
 @dataclass(frozen=True)
@@ -393,12 +403,15 @@ class PolylogDS:
 
     __post_init__ = _validate_polylog
     _total_intensity = _intensity_sum
-    _levy_weight = _polylog_levy_weight
     _draw = sampling._compound_poisson
 
     def _intensities(self):
         z = riemann_zeta(1.0 + self.alpha) * self.a**-self.alpha
         return self.p * z, self.q * z
+
+    def _levy_weight(self, k: int) -> float:
+        side = self.p if k > 0 else self.q
+        return side * self.a**-self.alpha * float(abs(k)) ** -(1.0 + self.alpha)
 
     def _log_cf(self, at):
         s = 1.0 + self.alpha
@@ -419,7 +432,7 @@ class PolylogDS:
 
 
 @dataclass(frozen=True)
-class TruncatedPolylogDS:
+class TruncatedPolylogDS(_FiniteLevy):
     """PolylogDS with jump magnitudes capped at m lattice steps."""
 
     alpha: float
@@ -429,27 +442,14 @@ class TruncatedPolylogDS:
     m: int
 
     __post_init__ = _validate_polylog
-    _total_intensity = _intensity_sum
-    _draw = sampling._compound_poisson
 
-    def _intensities(self):
-        h = float(np.sum(np.arange(1.0, self.m + 1.0) ** -(1.0 + self.alpha))) * self.a**-self.alpha
-        return self.p * h, self.q * h
-
-    def _log_cf(self, at):
-        fin = _finite_polylog_step(1.0 + self.alpha, at, self.m)
-        return self.a**-self.alpha * (self.p * fin + self.q * np.conj(fin))
-
-    def _levy_weight(self, k: int) -> float:
-        return 0.0 if abs(k) > self.m else _polylog_levy_weight(self, k)
+    @cached_property
+    def _table(self):
+        w = np.r_[0.0, np.arange(1.0, self.m + 1.0) ** -(1.0 + self.alpha)]
+        return self.p * self.a**-self.alpha, self.q * self.a**-self.alpha, w
 
     def _target(self) -> AttractionTarget:
         return _polylog_target(self, gaussian=True)
-
-    def _jumps(self, rng, count: int) -> np.ndarray:
-        sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
-        w = np.arange(1.0, self.m + 1.0) ** -(1.0 + self.alpha)
-        return sign * sampling._from_table(w, rng.generator, count)
 
 
 FamilyParams = Union[
@@ -525,7 +525,7 @@ def levy_weight(p: FamilyParams, k) -> float:
 
     Defined for five families; SymmetricDS weights come as a table from
     symmetric_levy_weights. TruncatedSDS weights are lambda b_|k| / 2 from the
-    Chebyshev coefficients of its cosine series, computed in O(m^2) per call.
+    Chebyshev coefficients of its cosine series, computed in O(m^2) once per object.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"k must be an integer, got {k!r}")

@@ -1,11 +1,13 @@
 """Family parameter validation, CF identities, and Levy-measure consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dstable import families
 from dstable.errors import DomainError
 from dstable.families import (
     AttractionTarget,
@@ -387,9 +389,34 @@ def test_truncated_sds_levy_weight_mpmath():
 @pytest.mark.parametrize("m", [1, 2, 8, 300, 2048])
 def test_truncated_sds_cosine_weights_keep_the_walk_mass(gamma, m):
     # P(1) = sum_j b_j: the cosine series keeps every walk, the ones ending at 0 in b_0
-    b = TruncatedSDS(gamma, 1.0, 1.0, m)._cosine_weights()
+    b = TruncatedSDS(gamma, 1.0, 1.0, m)._table[2]
     assert np.all(b >= 0.0)
     assert abs(b.sum() - math.fsum(sibuya_pmf(gamma, k) for k in range(1, m + 1))) <= 1e-15
+
+
+def test_truncated_sds_table_is_built_once_per_object(monkeypatch):
+    # char_fn, levy_weight and every 2^16-draw sampling batch read one Chebyshev table
+    calls = []
+    real = families.poly2cheb
+    monkeypatch.setattr(families, "poly2cheb", lambda c: calls.append(1) or real(c))
+    p = TruncatedSDS(0.35, 1.1, 0.7, 12)
+    char_fn(p, np.linspace(-3.0, 3.0, 101))
+    for k in range(1, 51):
+        levy_weight(p, k)
+    sample_family(p, RngState(5), size=(1 << 17) + 1, threads=2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [TruncatedSDS(0.4, 1.0, 1.0, 8),
+                               TruncatedPolylogDS(0.8, 1.0, 0.5, 0.1, 8)])
+def test_truncated_table_cache_stays_out_of_dataclass_behaviour(p):
+    fresh = dataclasses.replace(p)
+    char_fn(p, np.linspace(-1.0, 1.0, 9))
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    q = dataclasses.replace(p, m=4)
+    assert q._table[2].size == 5 and p._table[2].size == 9
+    assert levy_weight(q, 4) > 0.0 and levy_weight(q, 5) == 0.0 and levy_weight(q, -5) == 0.0
+    assert levy_weight(p, 5) > 0.0
 
 
 @pytest.mark.parametrize("gamma,sigma,a", [(0.4, 1.0, 1.0), (0.9, 1.3, 0.5)])
