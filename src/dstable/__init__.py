@@ -50,7 +50,6 @@ from .sampling import (
     sample_zeta,
 )
 from .special import (
-    gen_binomial,
     polylog_unit,
     riemann_zeta,
     sibuya_pmf,
@@ -84,7 +83,6 @@ __all__ = [
     "symmetric_levy_weights",
     "target_stable",
     # special functions
-    "gen_binomial",
     "polylog_unit",
     "riemann_zeta",
     "sibuya_pmf",

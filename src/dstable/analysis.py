@@ -22,7 +22,7 @@ from .families import (
     stable_cf,
     target_stable,
 )
-from .inversion import LatticePMF, pmf_from_cf, tail_prob
+from .inversion import LatticePMF, pmf_from_cf
 from .quadrature import tanh_sinh
 from .sampling import RngState, sample_family
 
@@ -41,6 +41,7 @@ __all__ = [
 
 _HALF_GAMMA_TOL = 1e-12  # |gamma - 1/2| below this selects the Cauchy-index branch
 _TAIL_FLOOR = 1e-12  # inversion noise plateau is ~1e-15; smaller tails are fiction
+_KS_CDF_TOL = 1e-6  # absolute error of the stable CDF behind each prelimit KS distance
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,21 @@ def _fold_in(pmf: LatticePMF, x: float) -> float:
     return (x / pmf.a + 1.0) * (cl[0] + cl[-1])
 
 
+def _tails(pmf: LatticePMF, x: np.ndarray) -> np.ndarray:
+    """tail_prob(pmf, x_i) for each x_i >= 0, from one pass over the clamped masses.
+
+    P(|X| > x) takes the points below -x and above x, never 0 itself, so each half
+    of the window is summed in place from its far end inward: one cumsum left of 0,
+    one reverse cumsum right of it. A zero at each end stands for the mass past it."""
+    xv = pmf.x_values()
+    cl = np.zeros(xv.size + 2)
+    np.maximum(pmf.masses, 0.0, out=cl[1:-1])
+    zero = np.searchsorted(xv, 0.0) + 1  # where x = 0 sits in cl
+    np.cumsum(cl[:zero], out=cl[:zero])
+    np.cumsum(cl[:zero:-1], out=cl[:zero:-1])
+    return cl[np.searchsorted(xv, x, side="right") + 1] + cl[np.searchsorted(xv, -x)]
+
+
 def _pmf_covering(p: FamilyParams, x_max: float, alias_tol: float,
                   n_max: int) -> LatticePMF:
     """PMF whose window reaches 4 x_max out with _fold_in(pmf, x_max) < alias_tol."""
@@ -189,6 +205,8 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
     decade up to the largest reliable x — the largest threshold whose tail
     value the window resolves with fold-in contamination below alias_tol.
     """
+    if not 0.0 < alias_tol < 1.0:
+        raise DomainError(f"alias_tol must be in (0, 1), got {alias_tol!r}")
     if x_grid is None:
         pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, n_max)
         edge = _fold_in(pmf, 0.0)  # the bound at x is (x/a + 1) * edge
@@ -208,7 +226,7 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
         if np.any(np.diff(x) <= 0.0) or x[0] <= 0.0:
             raise DomainError("x_grid must be strictly increasing and positive")
         pmf = _pmf_covering(p, float(x[-1]), alias_tol, n_max)
-    tails = np.array([tail_prob(pmf, xi) for xi in x])
+    tails = _tails(pmf, x)
     exponent = _decay_exponent(x, tails)
 
     if isinstance(p, SymmetricDS) and p.gamma < 1.0:
@@ -420,7 +438,7 @@ def binned_tv(pmf: LatticePMF, samples, bins: int = 64) -> float:
 # ---------------------------------------------------------------------------
 
 def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
-                        tol: float = 1e-6, threads: int = 1) -> PrelimitReport:
+                        threads: int = 1) -> PrelimitReport:
     """KS distances of S_n = n^{-1/alpha} (X_1 + ... + X_n) to both limits.
 
     For each n, draws `reps` normalized sums and reports the KS distance to
@@ -453,7 +471,7 @@ def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
         if var_x is None:
             var_x = float(np.var(draws, ddof=1))
         sums = float(n) ** (-1.0 / alpha) * draws.reshape(reps, n).sum(axis=1)
-        ks_stable[i] = ks_statistic(sums, lambda q: stable_cdf(target, q, tol=max(tol, 1e-8)))
+        ks_stable[i] = ks_statistic(sums, lambda q: stable_cdf(target, q, tol=_KS_CDF_TOL))
         mean, sd = float(sums.mean()), float(sums.std())
         if sd == 0.0:
             ks_gauss[i] = 1.0

@@ -89,6 +89,15 @@ def _resolve_threads(args) -> int:
         raise DomainError(f"DSTABLE_THREADS must be an integer, got {raw!r}")
 
 
+def _list_flag(text: str, flag: str, cast) -> list:
+    """The comma-separated values of `--flag`, each read by `cast`."""
+    try:
+        return [cast(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise DomainError(f"--{flag} must be a comma-separated list of "
+                          f"{cast.__name__} values, got {text!r}")
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -221,7 +230,7 @@ def _cmd_tails(args):
 def _cmd_converge(args):
     if args.a is not None:
         raise DomainError("converge sweeps the pitch itself: use --pitches, not --a")
-    pitches = [float(s) for s in args.pitches.split(",") if s.strip()]
+    pitches = _list_flag(args.pitches, "pitches", float)
     if not pitches:
         raise DomainError("--pitches must list at least one pitch")
     distances = []
@@ -236,7 +245,7 @@ def _cmd_converge(args):
 
 def _cmd_prelimit(args):
     p = _build_family(args)
-    n_values = [int(s) for s in args.n_values.split(",") if s.strip()]
+    n_values = _list_flag(args.n_values, "n-values", int)
     report = prelimit_experiment(p, n_values, reps=args.reps, seed=args.seed,
                                  threads=_resolve_threads(args))
     meta = _family_meta(args) | {"reps": args.reps, "seed": args.seed}

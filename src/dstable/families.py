@@ -211,14 +211,21 @@ class _FiniteLevy:
     """A finite Levy measure: mass right w[k] at +k and left w[k] at -k, k = 1..m.
 
     Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a
-    cached_property, so it is built once per object."""
+    cached_property, so it is built once per object, as are the sum of w and
+    its normalised cumulative sums in `_sum_cdf`."""
 
     _total_intensity = _intensity_sum
     _draw = sampling._compound_poisson
 
-    def _intensities(self):
-        right, left, w = self._table
+    @cached_property
+    def _sum_cdf(self):
+        w = self._table[2]
         total = float(np.sum(w))
+        return total, np.cumsum(w) / total
+
+    def _intensities(self):
+        right, left, _ = self._table
+        total = self._sum_cdf[0]
         return right * total, left * total
 
     def _log_cf(self, at):
@@ -231,9 +238,9 @@ class _FiniteLevy:
         return (right if k > 0 else left) * float(w[abs(k)]) if abs(k) < w.size else 0.0
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        right, left, w = self._table
+        right, left, _ = self._table
         sign = sampling._signs(right / (right + left), rng.generator, count)
-        steps = sign * (sampling._from_table(w, rng.generator, count) - 1)
+        steps = sign * (sampling._from_table(self._sum_cdf[1], rng.generator, count) - 1)
         if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
             raise PrecisionError(f"{type(self).__name__} jump past its support a*m, m = {self.m}")
         return steps

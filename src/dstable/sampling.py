@@ -62,7 +62,7 @@ class RngState:
 
     def __init__(self, seed: int):
         seed = _check_index(seed, "seed")
-        if not 0 <= seed <= _MASK64:
+        if seed > _MASK64:
             raise DomainError("seed must fit in 64 bits")
         self._key(_splitmix64(seed))
 
@@ -79,21 +79,12 @@ class RngState:
     def split(self, child_index: int) -> "RngState":
         """Independent child stream number `child_index`; does not advance self."""
         child_index = _check_index(child_index, "child_index")
-        if child_index < 0:
-            raise DomainError("child_index must be >= 0")
         mixed = (self._base ^ ((child_index + 1) * _GOLDEN)) & _MASK64
         return RngState._from_base(_splitmix64(mixed))
 
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-
-def _as_count(size) -> int:
-    size = _check_index(size, "size")
-    if size < 0:
-        raise DomainError("size must be >= 0")
-    return size
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +110,7 @@ def sample_poisson(rate: float, rng: RngState, size=None):
         raise DomainError(f"rate must be >= 0, got {rate!r}")
     if rate > _POISSON_MAX:
         raise PrecisionError(f"Poisson rate {rate!r} exceeds the int64 range")
-    n = 1 if size is None else _as_count(size)
+    n = 1 if size is None else _check_index(size, "size")
     out = rng.generator.poisson(float(rate), n)
     return int(out[0]) if size is None else out
 
@@ -136,7 +127,7 @@ def sample_sibuya(alpha: float, rng: RngState, size=None):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
-    n = 1 if size is None else _as_count(size)
+    n = 1 if size is None else _check_index(size, "size")
     gen = rng.generator
     w = gen.beta(alpha, 1.0 - alpha, n)
     u = 1.0 - gen.random(n)  # in (0, 1]
@@ -158,7 +149,7 @@ def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None)
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
     if not theta > 0.0:
         raise DomainError(f"theta must be > 0, got {theta!r}")
-    n = 1 if size is None else _as_count(size)
+    n = 1 if size is None else _check_index(size, "size")
     gen = rng.generator
     out = np.empty(n, dtype=np.int64)
     pending = np.arange(n)
@@ -179,7 +170,7 @@ def sample_zeta(s: float, rng: RngState, size=None):
     """
     if not s > 1.0:
         raise DomainError(f"s must be > 1, got {s!r}")
-    n = 1 if size is None else _as_count(size)
+    n = 1 if size is None else _check_index(size, "size")
     out = rng.generator.zipf(s, n)
     return int(out[0]) if size is None else out
 
@@ -192,10 +183,10 @@ def _signs(frac_positive: float, gen: np.random.Generator, count: int) -> np.nda
     return np.where(gen.random(count) < frac_positive, 1, -1).astype(np.int64)
 
 
-def _from_table(w: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
-    """K in 1..len(w) with P(K = k) proportional to w[k-1], by an inverse-CDF table."""
-    k = np.searchsorted(np.cumsum(w) / w.sum(), gen.random(count), side="right")
-    return np.minimum(k, w.size - 1).astype(np.int64) + 1
+def _from_table(cdf: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
+    """K in 1..len(cdf) with P(K <= k) = cdf[k-1], by inverse-CDF search."""
+    k = np.searchsorted(cdf, gen.random(count), side="right")
+    return np.minimum(k, cdf.size - 1).astype(np.int64) + 1
 
 
 def _compound_poisson(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
@@ -257,11 +248,9 @@ def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: i
     batch index, so the result depends only on (stream state, size) — not on
     `threads`, which merely sets how many batches run concurrently.
     """
-    threads = _check_index(threads, "threads")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads!r}")
+    threads = _check_index(threads, "threads", 1)
     families._family(p)
-    n = 1 if size is None else _as_count(size)
+    n = 1 if size is None else _check_index(size, "size")
     if n == 0:
         return np.empty(0)
     # one 63-bit draw advances rng; the batches run on splits of the stream it keys

@@ -1,7 +1,7 @@
 """Scalar special functions backing the lattice families.
 
-Everything here is float64: generalized binomial coefficients, Sibuya
-probabilities, the Riemann zeta function on (1, inf) (``scipy.special.zeta``), and
+Everything here is float64: Sibuya probabilities from one survival product,
+the Riemann zeta function on (1, inf) (``scipy.special.zeta``), and
 the polylogarithm on the unit circle with its finite partial sums.  The
 polylogarithm is the power series of Li_s(e^mu) in mu = i theta, whose
 coefficients are zeta values at s - k, plus the term Gamma(1-s)(-mu)^(s-1) (Wood,
@@ -63,84 +63,23 @@ def _lgamma_diff(base: float, shift: float) -> float:
     )
 
 
-def _sinpi(x: float):
-    """sin(pi x) with argument reduction done on x itself, plus the exact sign.
-
-    Returns (log_abs, sign); sign is 0 when x is an integer.
-    """
-    m = math.floor(x + 0.5)
-    r = x - m  # exact; |r| <= 1/2
-    if r == 0.0:
-        return -math.inf, 0
-    s = math.sin(math.pi * r)
-    sign = (1 if s > 0 else -1) * (1 if m % 2 == 0 else -1)
-    return math.log(abs(s)), sign
-
-
-def _check_index(k, name: str):
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {k!r}")
+def _check_index(k, name: str, least: int = 0) -> int:
+    """k as an int; DomainError unless k is an integer >= least."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {k!r}")
     return int(k)
 
 
-def gen_binomial(gamma: float, k) -> float:
-    """Generalized binomial coefficient C(gamma, k) for real gamma and integer k >= 0.
-
-    Uses the running product for k <= 64 and a log-gamma form (with reflection for
-    gamma below k) beyond that.
-    """
-    k = _check_index(k, "k")
-    if k < 0:
-        raise DomainError(f"gen_binomial requires k >= 0, got {k}")
-    g = float(gamma)
-    if not math.isfinite(g):
-        raise DomainError(f"gen_binomial requires finite gamma, got {gamma!r}")
-    if k == 0:
-        return 1.0
-    if k <= 64:
-        out = 1.0
-        for j in range(k):
-            out *= (g - j) / (j + 1)
-        return out
-    if g == math.floor(g):
-        gi = int(g)
-        if 0 <= gi <= k - 1:
-            return 0.0
-        if gi < 0:
-            # C(-n, k) = (-1)^k C(n + k - 1, k)
-            n = -gi
-            sign = -1.0 if k % 2 else 1.0
-            return sign * gen_binomial(float(n + k - 1), k)
-    if g > k - 1:
-        # all three gamma arguments are positive
-        return math.exp(
-            math.lgamma(g + 1.0) - math.lgamma(k + 1.0) - math.lgamma(g - k + 1.0)
-        )
-    # reflection: C(g, k) = (-1)^(k+1) sin(pi g) Gamma(g+1) Gamma(k-g) / (pi Gamma(k+1))
-    log_sin, sign_sin = _sinpi(g)
-    if sign_sin == 0:  # integer g was already handled; defensive
-        return 0.0
-    if k - g >= 32.0 and abs(g + 1.0) <= 8.0:
-        log_ratio = _lgamma_diff(k - g, g + 1.0)  # lgamma(k+1) - lgamma(k-g)
-    else:
-        log_ratio = math.lgamma(k + 1.0) - math.lgamma(k - g)
-    log_mag = math.lgamma(g + 1.0) + log_sin - math.log(math.pi) - log_ratio
-    sign = sign_sin * (1.0 if k % 2 else -1.0)
-    return sign * math.exp(log_mag)
-
-
 def sibuya_pmf(alpha: float, k) -> float:
-    """P(K = k) for the Sibuya law with tail index alpha in (0, 1], k >= 1."""
-    k = _check_index(k, "k")
+    """P(K = k) for the Sibuya law with tail index alpha in (0, 1], k >= 1.
+
+    P(K = k) = (-1)^(k+1) C(alpha, k) = (alpha/k) P(K > k-1), so the mass is the
+    survival product times one ratio, with no alternating signs."""
+    k = _check_index(k, "k", 1)
     a = float(alpha)
     if not 0.0 < a <= 1.0:
         raise DomainError(f"sibuya_pmf requires alpha in (0, 1], got {alpha!r}")
-    if k < 1:
-        raise DomainError(f"sibuya_pmf requires k >= 1, got {k}")
-    if a == 1.0:
-        return 1.0 if k == 1 else 0.0
-    val = gen_binomial(a, k)
-    return -val if k % 2 == 0 else val
+    return a / k * sibuya_survival(a, k - 1)
 
 
 def sibuya_survival(alpha: float, m) -> float:
@@ -149,17 +88,10 @@ def sibuya_survival(alpha: float, m) -> float:
     a = float(alpha)
     if not 0.0 < a <= 1.0:
         raise DomainError(f"sibuya_survival requires alpha in (0, 1], got {alpha!r}")
-    if m < 0:
-        raise DomainError(f"sibuya_survival requires m >= 0, got {m}")
-    if m == 0:
-        return 1.0
+    if m <= 64:
+        return math.prod(1.0 - a / j for j in range(1, m + 1))
     if a == 1.0:
         return 0.0
-    if m <= 64:
-        out = 1.0
-        for j in range(1, m + 1):
-            out *= 1.0 - a / j
-        return out
     # Gamma(m+1-alpha) / (Gamma(1-alpha) Gamma(m+1))
     return math.exp(_lgamma_diff(m + 1.0, -a) - math.lgamma(1.0 - a))
 

@@ -29,7 +29,7 @@ from dstable.families import (
 from dstable.inversion import pmf_from_cf
 from dstable.sampling import RngState, sample_family
 from dstable.special import polylog_unit, riemann_zeta, sibuya_survival
-from test_families import _jump_cf_reference
+from test_families import _jump_gap_reference
 
 
 def _draw_families(rng):
@@ -61,7 +61,7 @@ def test_01_cf_matches_compound_poisson_rebuild():
     for p in _draw_families(np.random.default_rng(20240817)):
         t = np.linspace(-math.pi / p.a, math.pi / p.a, 1001)
         view = compound_poisson_view(p)
-        rebuilt = np.exp(-view.total_intensity * (1.0 - _jump_cf_reference(p, t)))
+        rebuilt = np.exp(-view.total_intensity * _jump_gap_reference(p, t))
         worst = max(worst, float(np.max(np.abs(char_fn(p, t) - rebuilt))))
     assert worst <= 1e-10, f"worst CF mismatch {worst:.3e}"
     assert time.perf_counter() - start < 10.0

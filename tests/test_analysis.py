@@ -33,7 +33,7 @@ from dstable.families import (
     TruncatedSDS,
     char_fn,
 )
-from dstable.inversion import pmf_from_cf
+from dstable.inversion import pmf_from_cf, tail_prob
 from dstable.sampling import RngState, sample_family
 
 # sigma = 1 tail constants: 1 / (Gamma(1-2g) cos(pi g)) away from g = 1/2,
@@ -212,6 +212,25 @@ def test_tail_check_contamination_unresolvable():
     with pytest.raises(PrecisionError, match="grid-local alias"):
         tail_check(SymmetricDS(0.25, 1.0, 1.0),
                    x_grid=np.linspace(50.0, 200.0, 5), n_max=1 << 14)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, math.nan])
+def test_tail_check_rejects_alias_tol_outside_unit_interval(tol):
+    for grid in (None, np.linspace(10.0, 100.0, 5)):
+        with pytest.raises(DomainError, match="alias_tol"):
+            tail_check(SymmetricDS(0.4, 1.0, 1.0), x_grid=grid, alias_tol=tol,
+                       n_max=1 << 12)
+
+
+def test_tail_check_one_pass_tails_match_tail_prob():
+    # at lattice points, between them and past the window edge (k = -2048..2047)
+    p = DiscreteStable(0.7, 0.5, 1.0, 0.1)
+    pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, 1 << 12)
+    x = p.a * np.r_[0.0, 0.5, np.arange(1.0, 60.0), 1000.5, 2047.0, 2048.0, 5000.0]
+    want = np.array([tail_prob(pmf, xi) for xi in x])
+    got = analysis._tails(pmf, x)
+    assert np.all((got == 0.0) == (want == 0.0))
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [

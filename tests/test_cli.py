@@ -195,6 +195,13 @@ def test_tails_partial_grid_flags_rejected(capsys):
     assert rc == 2 and "together" in err
 
 
+def test_tails_alias_tol_outside_unit_interval_is_domain_error(capsys):
+    base = ["tails", "sds", "--gamma", "0.4", "--sigma", "1", "--a", "1", "--n-max", "4096"]
+    for extra in ([], ["--x-min", "10", "--x-max", "100", "--grid-points", "5"]):
+        rc, _, err = _run(capsys, base + extra + ["--alias-tol", "-1"])
+        assert rc == 2 and "alias_tol" in err
+
+
 def test_tails_unresolvable_window_is_precision_failure(capsys):
     rc, _, err = _run(capsys, ["tails", "sds", "--gamma", "0.25", "--sigma",
                                "1", "--a", "1", "--n-max", "4096"])
@@ -226,6 +233,9 @@ def test_converge_rejects_pitch_flag_conflicts(capsys):
     rc, _, err = _run(capsys, ["converge", "sds", "--gamma", "0.75",
                                "--sigma", "1", "--pitches", ","])
     assert rc == 2
+    rc, _, err = _run(capsys, ["converge", "sds", "--gamma", "0.75",
+                               "--sigma", "1", "--pitches", "0.5,abc"])
+    assert rc == 2 and "--pitches" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +260,13 @@ def test_prelimit_rejects_heavy_tailed_family(capsys):
     rc, _, err = _run(capsys, ["prelimit"] + SDS_FLAGS
                       + ["--n-values", "2", "--reps", "10000"])
     assert rc == 2 and "truncated or tempered" in err
+
+
+def test_prelimit_rejects_malformed_n_values(capsys):
+    for bad in ("2,x", "2,2.5"):
+        rc, _, err = _run(capsys, ["prelimit"] + TRUNC_FLAGS
+                          + ["--n-values", bad, "--reps", "10000"])
+        assert rc == 2 and "--n-values" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

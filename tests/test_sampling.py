@@ -453,7 +453,7 @@ class TestSampleFamily:
     def test_truncated_jump_beyond_support_raises(self, monkeypatch):
         # a step sum that overshoots a*m must not reach the caller
         monkeypatch.setattr(sampling, "_from_table",
-                            lambda w, gen, count: np.full(count, 1000, dtype=np.int64))
+                            lambda cdf, gen, count: np.full(count, 1000, dtype=np.int64))
         with pytest.raises(PrecisionError, match="support"):
             sample_family(TruncatedSDS(0.4, 1.0, 1.0, 8), RngState(0), size=1000)
 
