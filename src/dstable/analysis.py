@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, PrecisionError
 from .families import (
@@ -328,9 +327,10 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
         return xs.copy()
 
     if s.alpha == 2.0 and s.beta == 0.0:
+        from scipy.special import ndtr
+
         out = ndtr(xs / (s.sigma * math.sqrt(2.0)))
-        out = out.reshape(np.atleast_1d(x_arr).shape)
-        return float(out.ravel()[0]) if scalar else out.reshape(x_arr.shape)
+        return float(out[0]) if scalar else out.reshape(x_arr.shape)
     if s.alpha == 1.0 and s.beta == 0.0:
         out = 0.5 + np.arctan(xs / s.sigma) / math.pi
         return float(out[0]) if scalar else out.reshape(x_arr.shape)
@@ -458,6 +458,8 @@ def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
     n_arr = n_arr.astype(np.int64)
     if reps < 10_000:
         raise DomainError("reps must be >= 10^4 for a stable KS estimate")
+    from scipy.special import ndtr
+
     target = target_stable(p).stable
     alpha = target.alpha
     rng = RngState(seed)

@@ -240,9 +240,11 @@ class _FiniteLevy:
     def _jumps(self, rng, count: int) -> np.ndarray:
         right, left, _ = self._table
         sign = sampling._signs(right / (right + left), rng.generator, count)
-        steps = sign * (sampling._from_table(self._sum_cdf[1], rng.generator, count) - 1)
-        if np.any(np.abs(steps) > self.m):  # jumps never exceed a*m by construction
+        steps = sampling._from_table(self._sum_cdf[1], rng.generator, count)
+        steps -= 1
+        if steps.max(initial=0) > self.m:  # jumps never exceed a*m by construction
             raise PrecisionError(f"{type(self).__name__} jump past its support a*m, m = {self.m}")
+        steps *= sign
         return steps
 
 
@@ -396,7 +398,8 @@ class TemperedDS:
                 mag[side] = sampling.sample_tempered_sibuya(self.alpha, theta, rng, n_side)
             else:
                 mag[side] = sampling.sample_sibuya(self.alpha, rng, n_side)
-        return sign * mag
+        mag *= sign
+        return mag
 
 
 @dataclass(frozen=True)
@@ -435,7 +438,8 @@ class PolylogDS:
         # numpy's zipf stops at about 2^63, so a draw of 2^62 or more shows
         # that the cut drops mass of the law
         sampling._check_range(k, "zeta")
-        return sign * k
+        k *= sign
+        return k
 
 
 @dataclass(frozen=True)

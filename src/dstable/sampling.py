@@ -180,13 +180,15 @@ def sample_zeta(s: float, rng: RngState, size=None):
 # ---------------------------------------------------------------------------
 
 def _signs(frac_positive: float, gen: np.random.Generator, count: int) -> np.ndarray:
-    return np.where(gen.random(count) < frac_positive, 1, -1).astype(np.int64)
+    return np.where(gen.random(count) < frac_positive, np.int64(1), np.int64(-1))
 
 
 def _from_table(cdf: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
     """K in 1..len(cdf) with P(K <= k) = cdf[k-1], by inverse-CDF search."""
-    k = np.searchsorted(cdf, gen.random(count), side="right")
-    return np.minimum(k, cdf.size - 1).astype(np.int64) + 1
+    k = np.searchsorted(cdf, gen.random(count), side="right").astype(np.int64, copy=False)
+    np.minimum(k, cdf.size - 1, out=k)
+    k += 1
+    return k
 
 
 def _compound_poisson(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
@@ -203,14 +205,14 @@ def _compound_poisson(p: families.FamilyParams, rng: RngState, n: int) -> np.nda
     jumps = p._jumps(rng, total)
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
-    padded = np.append(jumps, np.int64(0))
-    empty = counts == 0
-    sums = np.add.reduceat(padded, offsets)
-    sums[empty] = 0
+    # each nonempty draw's jumps run from its offset to the next nonempty one's
+    nonempty = counts > 0
+    starts = offsets[nonempty]
+    sums = np.zeros(n, dtype=np.int64)
+    sums[nonempty] = np.add.reduceat(jumps, starts)
     if max(int(jumps.max()), -int(jumps.min())) * int(counts.max()) >= _INT_LIMIT:
         # int64 sums wrap silently; a float64 sum tells whether any reaches 2^62
-        approx = np.add.reduceat(padded.astype(np.float64), offsets)
-        approx[empty] = 0.0
+        approx = np.add.reduceat(jumps.astype(np.float64), starts)
         _check_range(np.abs(approx), "summed")
     return sums
 

@@ -8,6 +8,10 @@ coefficients are zeta values at s - k, plus the term Gamma(1-s)(-mu)^(s-1) (Wood
 "The computation of polylogarithms", 1992; DLMF 25.12).  That term and the
 coefficient zeta(s-n+1), n the integer nearest s, both have a pole at integer s,
 so they are always summed as one regularised pair.
+
+``scipy.special`` is imported on first use, inside riemann_zeta, _pole_pair and
+_series, so ``import dstable`` does not load it; of the families only PolylogDS
+calls them, for its intensity and its CF.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exprel, factorial, polygamma, zeta
 
 from .errors import DomainError
 
@@ -98,6 +101,8 @@ def sibuya_survival(alpha: float, m) -> float:
 
 def riemann_zeta(s: float) -> float:
     """Riemann zeta on (1, inf): ``scipy.special.zeta`` behind a typed domain check."""
+    from scipy.special import zeta
+
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"riemann_zeta requires s > 1, got {s!r}")
@@ -138,6 +143,8 @@ def _pole_pair(n: int, eps: float):
     eps, which converge for |eps| < 1: _ZETA_POLE, and log g = eps lg, expanded with
     pi eps/sin(pi eps) = Gamma(1+eps) Gamma(1-eps).  At eps = 0, a = H_(n-1), g = 1.
     """
+    from scipy.special import exprel, factorial, polygamma
+
     k = np.arange(1, 56)
     lg_terms = (polygamma(k - 1, 1) * (1.0 + (-1.0) ** k) - polygamma(k - 1, n)) / factorial(k)
     lg = np.polyval(lg_terms[::-1], eps)
@@ -149,6 +156,8 @@ def _series(s: float):
     """Li_s(e^{i theta}) for 1 < s < 60 on a block of theta, from Li_s(e^mu) =
     Gamma(1-s)(-mu)^(s-1) + sum_k zeta(s-k) mu^k/k!, |mu| < 2 pi; at |mu| <= pi the
     terms fall like 2^-k, below 1e-19 by k = 60.  The coefficients are built once."""
+    from scipy.special import factorial, zeta
+
     n = round(s)
     eps = s - n
     a, g = _pole_pair(n, eps)
@@ -245,7 +254,7 @@ def polylog_unit(s: float, theta):
         raise DomainError("polylog_unit requires finite theta")
     flat = np.atleast_1d(th).ravel()
     # from s = 60 on only k = 1..63 contribute above float64 resolution
-    block = _series(s) if s < 60.0 else lambda th: zeta(s) + _finite_polylog_step(s, th, 63)
+    block = _series(s) if s < 60.0 else lambda th: riemann_zeta(s) + _finite_polylog_step(s, th, 63)
     out = np.empty(flat.shape, dtype=complex)
     for lo in range(0, flat.size, _CHUNK):
         out[lo : lo + _CHUNK] = block(flat[lo : lo + _CHUNK])

@@ -14,7 +14,8 @@ import pytest
 import dstable
 from dstable.analysis import cf_distance, tail_check
 from dstable.cli import _fmt, _json_value, _write_table, main
-from dstable.families import SymmetricDS, TruncatedSDS, char_fn
+from dstable.analysis import stable_cdf
+from dstable.families import PolylogDS, StableParams, SymmetricDS, TruncatedSDS, char_fn
 
 SDS_FLAGS = ["sds", "--gamma", "0.6", "--sigma", "1", "--a", "0.5"]
 TRUNC_FLAGS = ["truncated-sds", "--gamma", "0.4", "--sigma", "1",
@@ -297,11 +298,38 @@ def test_help_exits_cleanly(capsys):
     assert "{cf,pmf,sample,tails,converge,prelimit}" in capsys.readouterr().out
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this dstable."""
+    src = os.path.dirname(os.path.dirname(dstable.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+# scipy.special is loaded on first use: a CLI run that never needs it skips its import
+@pytest.mark.parametrize("call, expected", [
+    ("char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)",
+     lambda: char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)),
+    ("stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)",
+     lambda: stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)),
+], ids=["polylog_cf", "gaussian_cdf"])
+def test_scipy_imported_on_first_use(call, expected):
+    script = (
+        "import sys\n"
+        "import dstable, dstable.cli\n"
+        "from dstable.analysis import stable_cdf\n"
+        "from dstable.families import PolylogDS, StableParams, char_fn\n"
+        "before = any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        f"value = {call}\n"
+        "print(before, 'scipy.special' in sys.modules, repr(value))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.split() == ["False", "True", repr(expected())]
+
+
 def test_closed_stdout_ends_quietly():
     # `dstable cf ... | head -1`: the reader leaves early; no traceback, exit 0
-    src = os.path.dirname(os.path.dirname(dstable.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _child_env()
     argv = [sys.executable, "-m", "dstable.cli", "cf"] + SDS_FLAGS + ["--points", "200000"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=env) as proc:

@@ -1,6 +1,7 @@
 """Sampler verification: closed-form frequencies, stream discipline, and
 agreement between the samplers and the Fourier-inversion PMFs."""
 
+import hashlib
 import math
 import warnings
 
@@ -428,6 +429,33 @@ class TestSampleFamily:
         a = sample_family(p, RngState(123), size=70_000, threads=2)
         b = sample_family(p, RngState(123), size=70_000, threads=2)
         assert a.tobytes() == b.tobytes()
+
+    # sha256 of 100k draws as little-endian float64, frozen when the jump path
+    # dropped its array copies: those edits left every draw bit-identical
+    FROZEN_FAMILIES = {
+        "TruncatedSDS": TruncatedSDS(0.4, 1.0, 1.0, 8),
+        "TemperedDS": TemperedDS(0.7, 0.3, 1.0, 0.5, 0.05, 0.2),
+        "PolylogDS": PolylogDS(0.8, 1.0, 0.5, 0.1),
+        "TruncatedPolylogDS": TruncatedPolylogDS(0.8, 1.0, 0.5, 0.1, 64),
+    }
+    FROZEN_DRAWS = {
+        ("TruncatedSDS", 7): "5fa7be2776abf1b16b2143108c62f6700a910ef70fc05a62f522127aca02ea4b",
+        ("TruncatedSDS", 2024): "5527b16fb845de3fc4cc15f5cb460dbdb35a6aaa7c655eb298e0c2c5d1777627",
+        ("TemperedDS", 7): "1d4a8f4d960cf435122ce5b1f924b0b5d7de2e38b8a9a2420d651d62dab61299",
+        ("TemperedDS", 2024): "3d4229a896edec2973de834e947a01d71031afac7be1bc0f92be524433cce988",
+        ("PolylogDS", 7): "80c30b50ec1f1b0e792620a7533fed05063bf3563ad0bba054b90c0080bacb09",
+        ("PolylogDS", 2024): "4cc63acfccabf207f12e48d56429bc69072f134bbab3393dcd1c0cfeafc812bf",
+        ("TruncatedPolylogDS", 7):
+            "31d3527d26058894dd5230b45df581ada3f1a09713732d190de1725ca9bf5711",
+        ("TruncatedPolylogDS", 2024):
+            "1f5b12f784d2c7df9ae4cba933fb28bdc103a0e65051912f5c8e8b0eee276c44",
+    }
+
+    @pytest.mark.parametrize("name, seed", list(FROZEN_DRAWS))
+    def test_draws_frozen(self, name, seed):
+        x = sample_family(self.FROZEN_FAMILIES[name], RngState(seed), size=100_000)
+        digest = hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
+        assert digest == self.FROZEN_DRAWS[name, seed]
 
     def test_sequential_calls_differ(self):
         rng = RngState(7)
