@@ -21,7 +21,7 @@ from .families import (
     stable_cf,
     target_stable,
 )
-from .inversion import LatticePMF, pmf_from_cf
+from .inversion import LatticePMF, _HalfGridMemo, pmf_from_cf
 from .quadrature import tanh_sinh
 from .sampling import RngState, sample_family
 
@@ -179,8 +179,9 @@ def _pmf_covering(p: FamilyParams, x_max: float, alias_tol: float,
             f"window 2^{int(math.log2(n_max))} cannot cover x = {x_max:g} "
             f"with margin at lattice pitch {p.a:g}"
         )
+    memo = _HalfGridMemo(lambda t: char_fn(p, t))  # each doubling adds the odd points only
     while True:
-        pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, n)
+        pmf = pmf_from_cf(memo, p.a, n)
         contamination = _fold_in(pmf, x_max)
         if contamination < alias_tol:
             return pmf

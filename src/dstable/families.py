@@ -13,6 +13,7 @@ so the CF formula of each family is written once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -22,7 +23,7 @@ from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import _finite_step, polylog_unit, riemann_zeta, sibuya_pmf
+from .special import _finite_step, _reduce_angle, polylog_unit, riemann_zeta, sibuya_pmf
 
 __all__ = [
     "StableParams",
@@ -154,21 +155,6 @@ def _sibuya_weights(gamma: float, m: int) -> np.ndarray:
     return w
 
 
-def _one_minus_exp(theta: float, at: np.ndarray) -> np.ndarray:
-    """1 - e^{-theta} e^{i at}, with the real part formed without cancellation."""
-    damp = math.exp(-theta)
-    re = -math.expm1(-theta) + damp * 2.0 * np.sin(0.5 * at) ** 2
-    return re - 1j * damp * np.sin(at)
-
-
-def _cpow(z: np.ndarray, alpha: float) -> np.ndarray:
-    """z**alpha on the principal branch with 0**alpha = 0 exactly."""
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(alpha * np.log(z))
-    return np.where(z == 0, 0.0 + 0.0j, out)
-
-
 def _walk_rate(p) -> float:
     """lambda = sigma^{2 gamma} 2^gamma / a^{2 gamma} of the symmetric-walk pair."""
     return p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
@@ -177,12 +163,6 @@ def _walk_rate(p) -> float:
 def _intensity_sum(p) -> float:
     l1, l2 = p._intensities()
     return l1 + l2
-
-
-def _ds_intensities(p):
-    """(lambda1, lambda2) of the discrete-stable pair."""
-    scale = p.sigma**p.alpha / (2.0 * math.cos(0.5 * math.pi * p.alpha) * p.a**p.alpha)
-    return scale * (1.0 + p.beta), scale * (1.0 - p.beta)
 
 
 def _polylog_target(p, gaussian: bool) -> AttractionTarget:
@@ -203,7 +183,7 @@ def _polylog_target(p, gaussian: bool) -> AttractionTarget:
 # vanishes at at = 0; _levy_weight(k) for a nonzero integer k; _target();
 # and _draw(rng, n), n draws in lattice steps: a Poisson mixture over a stable
 # rate, or a Poisson(Lambda) sum of _jumps(rng, count) in lattice units.
-# The truncated pair defines only _table and _target; _FiniteLevy does the rest.
+# _FiniteLevy serves the truncated pair, and _SibuyaPair DiscreteStable and TemperedDS.
 # ---------------------------------------------------------------------------
 
 
@@ -306,8 +286,73 @@ class TruncatedSDS(_FiniteLevy):
         return AttractionTarget(StableParams(2.0 * self.gamma, 0.0, self.sigma), gaussian=True)
 
 
+def _sibuya_side(theta: float, alpha: float, x):
+    """(1 - e^{-theta} e^{ix})^alpha - (1 - e^{-theta})^alpha at x in [-pi, pi], as (real,
+    imaginary) parts in real arithmetic. At theta = 0, 1 - e^{ix} = 2 sin(|x|/2)
+    e^{i(x - pi sgn x)/2}. Otherwise it is b^alpha (e^{u+iv} - 1), b = 1 - e^{-theta},
+    N = 1 - e^{-theta} e^{ix}, v = alpha arg N and u = alpha log(|N|/b), formed from
+    |N|/b - 1 = 2 e^{-theta} (1 - cos x) / (b (|N| + b)) to keep its accuracy as x -> 0."""
+    if theta == 0.0:
+        mod = (2.0 * np.sin(0.5 * np.abs(x))) ** alpha
+        phase = 0.5 * alpha * (x - np.pi * np.sign(x))
+        return mod * np.cos(phase), mod * np.sin(phase)
+    damp, b = math.exp(-theta), -math.expm1(-theta)
+    vers = 2.0 * np.sin(0.5 * x) ** 2  # 1 - cos x
+    re_n, im_n = b + damp * vers, -damp * np.sin(x)
+    v, n_abs = alpha * np.arctan2(im_n, re_n), np.hypot(re_n, im_n)
+    if b < sys.float_info.min:  # subnormal theta: |N|/b overflows; this cancels only at x ~ b
+        return n_abs**alpha * np.cos(v) - b**alpha, n_abs**alpha * np.sin(v)
+    u = alpha * np.log1p(2.0 * damp * vers / (n_abs + b) / b)
+    scale = b**alpha
+    return (scale * (np.expm1(u) * np.cos(v) - 2.0 * np.sin(0.5 * v) ** 2),
+            scale * np.exp(u) * np.sin(v))
+
+
+class _SibuyaPair:
+    """The discrete-stable pair: Sibuya jumps with intensities l1 right and l2 left, the
+    mass at +-k damped by e^{-theta_i k}. Log CF -l1 S(theta1, at) - l2 conj S(theta2, at),
+    S = _sibuya_side. DiscreteStable is the pair at theta1 = theta2 = 0."""
+
+    def _intensities(self):
+        scale = self.sigma**self.alpha / (
+            2.0 * math.cos(0.5 * math.pi * self.alpha) * self.a**self.alpha)
+        return scale * (1.0 + self.beta), scale * (1.0 - self.beta)
+
+    def _side_rates(self):
+        """Jump rates l_i (1 - (1 - e^{-theta_i})^alpha), log(1 - e^{-theta}) per Maechler 2012."""
+        rates = list(self._intensities())
+        for i, theta in enumerate((self.theta1, self.theta2)):
+            if theta > 0.0:
+                log_b = (math.log(-math.expm1(-theta)) if theta <= math.log(2.0)
+                         else math.log1p(-math.exp(-theta)))
+                rates[i] *= -math.expm1(self.alpha * log_b)
+        return tuple(rates)
+
+    def _total_intensity(self) -> float:
+        return sum(self._side_rates())
+
+    def _log_cf(self, at):
+        l1, l2 = self._intensities()
+        x = _reduce_angle(at)
+        re1, im1 = _sibuya_side(self.theta1, self.alpha, x)
+        re2, im2 = ((re1, im1) if self.theta2 == self.theta1
+                    else _sibuya_side(self.theta2, self.alpha, x))
+        out = (-l1 * re1 - l2 * re2).astype(complex)
+        out.imag = l2 * im2 - l1 * im1
+        return out
+
+    def _levy_weight(self, k: int) -> float:
+        l1, l2 = self._intensities()
+        lam, theta = (l1, self.theta1) if k > 0 else (l2, self.theta2)
+        return lam * sibuya_pmf(self.alpha, abs(k)) * math.exp(-theta * abs(k))
+
+    def _target(self) -> AttractionTarget:
+        return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma),
+                                gaussian=self.theta1 + self.theta2 > 0.0)
+
+
 @dataclass(frozen=True)
-class DiscreteStable:
+class DiscreteStable(_SibuyaPair):
     """Two-sided lattice law with log CF -l1 (1-e^{iat})^alpha - l2 (1-e^{-iat})^alpha."""
 
     alpha: float
@@ -315,22 +360,8 @@ class DiscreteStable:
     sigma: float
     a: float
 
+    theta1 = theta2 = 0.0  # class attributes, not fields: the untempered pair
     __post_init__ = _validate
-    _intensities = _ds_intensities
-    _total_intensity = _intensity_sum
-
-    def _log_cf(self, at):
-        l1, l2 = self._intensities()
-        z = 2.0 * np.sin(0.5 * at) ** 2 - 1j * np.sin(at)  # 1 - e^{i at}
-        w = _cpow(z, self.alpha)  # (conj z)^alpha = conj(z^alpha) off the branch cut
-        return -l1 * w - l2 * np.conj(w)
-
-    def _levy_weight(self, k: int) -> float:
-        l1, l2 = self._intensities()
-        return l1 * sibuya_pmf(self.alpha, k) if k > 0 else l2 * sibuya_pmf(self.alpha, -k)
-
-    def _target(self) -> AttractionTarget:
-        return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma), gaussian=False)
 
     def _draw(self, rng, n: int) -> np.ndarray:
         # given T_i, a side Poisson(T_i) has CF e^{-T_i (1 - e^{+-i at})}, whose mean
@@ -342,7 +373,7 @@ class DiscreteStable:
 
 
 @dataclass(frozen=True)
-class TemperedDS:
+class TemperedDS(_SibuyaPair):
     """DiscreteStable with per-index exponential tempering e^{-theta k} on each side."""
 
     alpha: float
@@ -353,40 +384,7 @@ class TemperedDS:
     theta2: float
 
     __post_init__ = _validate
-    _intensities = _ds_intensities
     _draw = sampling._compound_poisson
-
-    def _bases(self):
-        """(1 - e^{-theta1})^alpha and (1 - e^{-theta2})^alpha, as complex."""
-        z1 = _one_minus_exp(self.theta1, np.array(0.0))
-        z2 = np.conj(_one_minus_exp(self.theta2, np.array(0.0)))
-        return complex(_cpow(z1, self.alpha)), complex(_cpow(z2, self.alpha))
-
-    def _side_rates(self):
-        """Jump rates of the two sides, l_i (1 - (1 - e^{-theta_i})^alpha)."""
-        l1, l2 = self._intensities()
-        base1, base2 = self._bases()
-        return l1 * (1.0 - base1.real), l2 * (1.0 - base2.real)
-
-    def _total_intensity(self) -> float:
-        return sum(self._side_rates())
-
-    def _log_cf(self, at):
-        l1, l2 = self._intensities()
-        base1, base2 = self._bases()
-        z1 = _one_minus_exp(self.theta1, at)
-        z2 = np.conj(_one_minus_exp(self.theta2, at))
-        # grouped per side so the exponent vanishes identically at t = 0
-        return -l1 * (_cpow(z1, self.alpha) - base1) - l2 * (_cpow(z2, self.alpha) - base2)
-
-    def _levy_weight(self, k: int) -> float:
-        l1, l2 = self._intensities()
-        if k > 0:
-            return l1 * sibuya_pmf(self.alpha, k) * math.exp(-self.theta1 * k)
-        return l2 * sibuya_pmf(self.alpha, -k) * math.exp(-self.theta2 * -k)
-
-    def _target(self) -> AttractionTarget:
-        return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma), gaussian=True)
 
     def _jumps(self, rng, count: int) -> np.ndarray:
         lam1, lam2 = self._side_rates()

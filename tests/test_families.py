@@ -27,7 +27,7 @@ from dstable.families import (
     symmetric_levy_weights,
     target_stable,
 )
-from dstable.families import _cpow, _one_minus_exp, _walk_rate
+from dstable.families import _walk_rate
 from dstable.sampling import RngState, sample_family
 from dstable.special import polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival
 
@@ -170,15 +170,31 @@ def test_cf_properties_random_families(p):
 # compound-Poisson view: the triangle identity
 # ---------------------------------------------------------------------------
 
+def _one_minus_exp(theta: float, at: np.ndarray) -> np.ndarray:
+    """1 - e^{-theta} e^{i at}, with the real part formed without cancellation."""
+    damp = math.exp(-theta)
+    re = -math.expm1(-theta) + damp * 2.0 * np.sin(0.5 * at) ** 2
+    return re - 1j * damp * np.sin(at)
+
+
+def _cpow(z: np.ndarray, alpha: float) -> np.ndarray:
+    """z**alpha on the principal branch with 0**alpha = 0 exactly."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp(alpha * np.log(z))
+    return np.where(z == 0, 0.0 + 0.0j, out)
+
+
 def _jump_gap_reference(p, t):
     """1 - h(t), h the single-jump CF of each family, written from its jump law.
 
     The library derives h from the log CF; this oracle builds it from each
     family's own jump weights, so exp(-Lambda (1 - h)) = char_fn is a check
-    between two formulas rather than of one formula against itself. Lambda
-    reaches 1e5, so a gap formed as 1 - h, one rounding off near t = 0, can
-    move the rebuilt CF by 1e-10; the power-law branches form it without
-    that subtraction.
+    between two formulas rather than of one formula against itself; the
+    discrete-stable pair goes through complex log and exp (_cpow), where the
+    library works in real polar form. Lambda reaches 1e5, so a gap formed as
+    1 - h, one rounding off near t = 0, can move the rebuilt CF by 1e-10; the
+    power-law branches form it without that subtraction.
     """
     at = p.a * np.asarray(t, dtype=float)
     if isinstance(p, SymmetricDS):
@@ -306,7 +322,190 @@ def test_tempered_collapses_to_discrete_stable_when_side_untempered():
     p_t = TemperedDS(0.6, 1.0, 1.0, 1.0, 0.0, 0.7)
     p_d = DiscreteStable(0.6, 1.0, 1.0, 1.0)
     t = np.linspace(-3.0, 3.0, 301)
-    assert np.max(np.abs(char_fn(p_t, t) - char_fn(p_d, t))) < 1e-14
+    assert np.array_equal(char_fn(p_t, t), char_fn(p_d, t))
+
+
+# (1 - e^{-theta} e^{ix})^alpha - (1 - e^{-theta})^alpha, one side of the discrete-stable
+# pair's log CF over its intensity, from 40-digit mpmath at x in _SIDE_X (the floats)
+_SIDE_X = (1e-9, 1e-3, 0.5, 2.0, math.pi, 2.0 * math.pi - 1e-6, 37.0)
+_SIDE_MPMATH = {
+    (0.0, 0.05): (
+        0.3537196179682465-0.027838337662555217j, 0.7057648107245997-0.055527141848487005j,
+        0.9633278319669986-0.06371063953657113j, 1.025950865121934-0.02928840170324163j,
+        1.0352649238413776-3.1695846881296783e-18j, 0.4996422416414596+0.039322684650436215j,
+        0.9794294248942585+0.059880380631443686j,
+    ),
+    (0.0, 0.3): (
+        0.001777791740240333-0.0009058301352175381j, 0.11217964597596326-0.05713719066505975j,
+        0.7469755168665049-0.31250977325470336j, 1.151919213740321-0.19920426666877494j,
+        1.2311444133449163-2.2615755976364962e-17j, 0.014121502827164966+0.007195262407397255j,
+        0.8334432635259781+0.31978831252315404j,
+    ),
+    (0.0, 0.7): (
+        2.2753424281382296e-07-4.4656109492218276e-07j, 0.003608651526954177-0.007076253593847963j,
+        0.3679914525488513-0.48786687780239574j, 1.3262274203570512-0.5600282193598879j,
+        1.624504792712471-6.963056081082016e-17j, 2.8644883697750262e-05+5.6218701031073926e-05j,
+        0.5035938769699633+0.5789172681083682j,
+    ),
+    (0.0, 0.99): (
+        1.93242225708816e-11-1.2301169955976707e-09j, 1.7361027555045616e-05-0.001071378607914329j,
+        0.12964779294609272-0.4811402356893575j, 1.4139346415110645-0.8965203983182244j,
+        1.9861849908740719-1.2040256703362812e-16j, 1.8034981528362115e-08+1.148011968143936e-06j,
+        0.2433464733794002+0.6430540310119223j,
+    ),
+    (0.0001, 0.05): (
+        1.498527832099274e-12-3.1546210990995465e-07j, 0.07525088238223802-0.0520221451289568j,
+        0.3323702812620989-0.0637010486020801j, 0.39499258024981354-0.02928668160030837j,
+        0.4043065686450583-3.169418285537875e-18j, 1.4984560024620603e-06+0.0003154523701913875j,
+        0.348471620393301+0.059873513821797474j,
+    ),
+    (0.0001, 0.3): (
+        6.625236649409535e-13-1.8927490001674175e-07j, 0.05091122133727322-0.05383740146462027j,
+        0.6838878856145203-0.3124612067793766j, 1.0888090661963945-0.19919018430754956j,
+        1.1680311587519037-2.261428598021375e-17j, 6.624983259374712e-07+0.0001892711460415535j,
+        0.7703491348038626+0.3197492213069204j,
+    ),
+    (0.0001, 0.7): (
+        1.6644678731638837e-14-1.1093309374396356e-08j,
+        0.0025224666921787437-0.006830984138248258j, 0.36646060726699564-0.4877993659209701j,
+        1.324608751999907-0.5599788156798041j, 1.6228630997384832-6.962464243857528e-17j,
+        1.6644264106062645e-08+1.1093237265531077e-05j, 0.5020469981615914+0.5788486569957316j,
+    ),
+    (0.0001, 0.99): (
+        5.481025978455092e-17-1.0854054109655858e-09j,
+        1.3778077118889917e-05-0.0010696598908970143j, 0.12962500145919278-0.48109128854370303j,
+        1.41378350606456-0.8964310850841144j, 1.9859770372158638-1.2039058757269138e-16j,
+        5.4809341610918646e-11+1.0854052286427702e-06j, 0.24331210389418703+0.6429891583605692j,
+    ),
+    (0.05, 0.05): (
+        8.187557695907076e-18-8.385042996456579e-10j, 8.185989181694348e-06-0.0008383979320575293j,
+        0.10284724030252274-0.05895124080133424j, 0.16489428055397806-0.028430258156996506j,
+        0.17416711022416587-3.086549258357124e-18j, 8.18755770063778e-12+8.385042998618443e-07j,
+        0.11871421994881094+0.05646429321072034j,
+    ),
+    (0.05, 0.3): (
+        1.7321683335503597e-17-2.364264244887346e-09j,
+        1.7319058429335393e-05-0.0023640693699545907j, 0.3472378277517047-0.2887819217796051j,
+        0.7403408178586516-0.19223477508332623j, 0.8179985207349276-2.1887771530056167e-17j,
+        1.732168334620564e-11+2.3642642456019823e-06j, 0.4301632068847233+0.30058311099363594j,
+    ),
+    (0.05, 0.7): (
+        5.645153661212842e-18-1.6479193443896672e-09j,
+        5.644632774168621e-06-0.0016478735075959317j, 0.27418498956312226-0.4552217810250309j,
+        1.1890233883756613-0.5358045485315025j, 1.4759715617615135-6.672701029109211e-17j,
+        5.645153665035321e-12+1.64791934497779e-06j, 0.4018113269068769+0.545529409234374j,
+    ),
+    (0.05, 0.99): (
+        5.799518567464224e-19-9.705968817080087e-10j, 5.799447383739496e-07-0.000970596003840498j,
+        0.12175744091788888-0.45728517854894685j, 1.3434319856906682-0.8529527087430597j,
+        1.8879635118355573-1.1455874278397354e-16j, 5.799518571855264e-13+9.705968820805266e-07j,
+        0.22980805793418474+0.6114224988027013j,
+    ),
+    (0.5, 0.05): (
+        9.064461955835598e-20-7.356265768112879e-11j, 9.064444276397058e-08-7.356253758821056e-05j,
+        0.0158074493653859-0.026990846772450235j, 0.06115636251062246-0.021067026887411505j,
+        0.06955380307656829-2.3672223241147993e-18j, 9.064461962792248e-14+7.356265770930879e-08j,
+        0.024731797572087943+0.03083599788734022j,
+    ),
+    (0.5, 0.3): (
+        3.6338789719217015e-19-3.4957179595926383e-10j,
+        3.633873540705605e-07-0.00034957138434973576j, 0.06862101875046991-0.13888125432750992j,
+        0.33426493309694255-0.1363711143194073j, 0.39691827934999957-1.5990518741378904e-17j,
+        3.633878974712229e-13+3.49571796093335e-07j, 0.11231006336725657+0.1659781926690201j,
+    ),
+    (0.5, 0.7): (
+        4.1070315008745593e-19-5.61665217453512e-10j,
+        4.1070284390835277e-07-0.0005616649072214544j, 0.08884440303336114-0.25002768026320943j,
+        0.6728942288661727-0.3566102296585686j, 0.8730289726999579-4.5101911174751584e-17j,
+        4.1070315040315074e-13+5.616652176692784e-07j, 0.1577035075769784+0.3199113880158212j,
+    ),
+    (0.5, 0.99): (
+        3.0771764377322966e-19-6.060924089281275e-10j,
+        3.0771761027999126e-07-0.0006060923008169661j, 0.0749807194211086-0.28990429834788733j,
+        0.8535965694366094-0.5446058447837199j, 1.2017758887042296-7.318800602968312e-17j,
+        3.077176440099586e-13+6.060924091611875e-07j, 0.14326087237305288+0.3885389586043901j,
+    ),
+    (3.0, 0.05): (
+        1.3715867354433425e-21-2.613103844735247e-12j,
+        1.3715865852191086e-09-2.6131033419682634e-06j,
+        0.00033367746693936315-0.0012449629418169658j, 0.0036228016649526534-0.002218544749587754j,
+        0.0049825226268090305-2.9110606421917016e-19j,
+        1.371586736498511e-15+2.6131038457400244e-09j, 0.0006357324743313085+0.001661659472486979j,
+    ),
+    (3.0, 0.3): (
+        8.023735721074613e-21-1.547972187573035e-11j,
+        8.023734897551793e-09-1.5479719003473634e-05j, 0.00195527669352651-0.00738732077340698j,
+        0.02158272387244642-0.013382591037731612j, 0.029886944999191655-1.767981871977139e-18j,
+        8.023735727247367e-15+1.5479721881682637e-08j, 0.003730910421649813+0.009874794439765192j,
+    ),
+    (3.0, 0.7): (
+        1.7972635628927052e-20-3.538900183802402e-11j,
+        1.7972633982477394e-08-3.538899565540772e-05j, 0.004391464293865079-0.01693319367398602j,
+        0.04978486923186621-0.03149149210757453j, 0.06971313658559665-4.2062499889042864e-18j,
+        1.7972635642753813e-14+3.538900185163224e-08j, 0.008399878471362329+0.02268922390813935j,
+    ),
+    (3.0, 0.99): (
+        2.467010715645599e-20-4.9314375702292445e-11j, 2.46701050938063e-08-4.931436747008304e-05j,
+        0.006039696405681626-0.023641034766156446j, 0.06982104566134906-0.04480920233042742j,
+        0.09857880700203961-6.0332537071980905e-18j, 2.4670107175435465e-14+4.931437572125581e-08j,
+        0.011573035360142696+0.031731745331337234j,
+    ),
+}
+
+
+def _side_ref(theta, alpha, x):
+    s = _SIDE_MPMATH[(theta, alpha)][_SIDE_X.index(abs(x))]
+    return s if x > 0.0 else s.conjugate()
+
+
+@pytest.mark.parametrize("theta1,theta2", [(0.0, 0.0), (1e-4, 0.05), (0.5, 0.0), (3.0, 3.0)])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.99])
+def test_discrete_stable_pair_log_cf_mpmath(theta1, theta2, alpha):
+    # relative accuracy next to 0, at pi and next to 2 pi; DiscreteStable at theta = 0
+    at = np.array([1e-9, -1e-9, 1e-3, 0.5, math.pi, -2.0, 2.0 * math.pi - 1e-6, 37.0])
+    for beta in (-0.9, 0.0, 1.0):
+        if theta1 + theta2 == 0.0:
+            p = DiscreteStable(alpha, beta, 1.0, 1.0)
+        else:
+            p = TemperedDS(alpha, beta, 1.0, 1.0, theta1, theta2)
+        l1, l2 = derived_intensities(p)
+        # the left side is conj S(theta2, x) = S(theta2, -x)
+        ref = np.array([-l1 * _side_ref(theta1, alpha, x) - l2 * _side_ref(theta2, alpha, -x)
+                        for x in at])
+        got = p._log_cf(at)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14, beta
+
+
+# Lambda = (l1 + l2)(1 - (1 - e^{-theta})^alpha) at beta = 0, sigma = a = 1, from 40-digit
+# mpmath; formed as 1 - (...)^alpha, the parent's value was 3.1e-6 and 60% off
+_TEMPERED_RATE_MPMATH = {(0.7, 30.0): 1.4428354958850733e-13,
+                         (0.3, 36.0): 7.809783993522808e-17}
+
+
+@pytest.mark.parametrize("alpha,theta", sorted(_TEMPERED_RATE_MPMATH))
+def test_tempered_total_intensity_mpmath(alpha, theta):
+    lam = compound_poisson_view(TemperedDS(alpha, 0.0, 1.0, 1.0, theta, theta)).total_intensity
+    ref = _TEMPERED_RATE_MPMATH[(alpha, theta)]
+    assert abs(lam - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("p", [TemperedDS(0.7, 0.0, 1.0, 1.0, 800.0, 0.5),
+                               TemperedDS(0.7, 0.3, 1.0, 1.0, 1e-200, 0.5),
+                               TemperedDS(0.01, 0.3, 1.0, 1.0, 1e-320, 0.5),
+                               TemperedDS(0.05, -0.4, 1.0, 1.0, 3.0, 1e-4),
+                               DiscreteStable(0.99, 0.5, 1.0, 1.0)], ids=repr)
+def test_discrete_stable_pair_extreme_theta_and_edge_angles(p):
+    # no overflow at theta = 800 (expm1(800) does), none from 1/theta at 1e-200 or at a
+    # subnormal theta, and no warning at a t = 0 or +-pi (warnings are errors here)
+    t = np.array([0.0, math.pi, -math.pi, 1e-9, 0.5, 37.0]) / p.a
+    g = char_fn(p, t)
+    assert g[0] == 1.0
+    assert np.all(np.isfinite(g)) and np.all(np.abs(g) <= 1.0)
+    assert g[2] == np.conj(g[1])
+    v = compound_poisson_view(p)
+    assert math.isfinite(v.total_intensity) and v.total_intensity > 0.0
+    rebuilt = np.exp(-v.total_intensity * _jump_gap_reference(p, t))
+    assert np.max(np.abs(g - rebuilt)) < 1e-12
 
 
 def test_gamma_one_collapses_to_cosine_exponent():
