@@ -13,7 +13,6 @@ so the CF formula of each family is written once.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -191,17 +190,17 @@ class _FiniteLevy:
     """A finite Levy measure: mass right w[k] at +k and left w[k] at -k, k = 1..m.
 
     Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a
-    cached_property, so it is built once per object, as are the sum of w and
-    its normalised cumulative sums in `_sum_cdf`."""
+    cached_property, so it is built once per object, as are the sum of w and,
+    in `_sum_cdf`, the normalised cumulative masses of the signed jumps -m..m."""
 
     _total_intensity = _intensity_sum
     _draw = sampling._compound_poisson
 
     @cached_property
     def _sum_cdf(self):
-        w = self._table[2]
-        total = float(np.sum(w))
-        return total, np.cumsum(w) / total
+        right, left, w = self._table
+        cdf = np.cumsum(np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]])
+        return float(np.sum(w)), cdf / cdf[-1]
 
     def _intensities(self):
         right, left, _ = self._table
@@ -218,13 +217,11 @@ class _FiniteLevy:
         return (right if k > 0 else left) * float(w[abs(k)]) if abs(k) < w.size else 0.0
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        right, left, _ = self._table
-        sign = sampling._signs(right / (right + left), rng.generator, count)
+        # one uniform and one search per jump: entry j of the table is the jump j - (w.size - 1)
         steps = sampling._from_table(self._sum_cdf[1], rng.generator, count)
-        steps -= 1
-        if steps.max(initial=0) > self.m:  # jumps never exceed a*m by construction
+        steps -= self._table[2].size - 1
+        if max(steps.max(initial=0), -steps.min(initial=0)) > self.m:  # never, by construction
             raise PrecisionError(f"{type(self).__name__} jump past its support a*m, m = {self.m}")
-        steps *= sign
         return steps
 
 
@@ -289,9 +286,11 @@ class TruncatedSDS(_FiniteLevy):
 def _sibuya_side(theta: float, alpha: float, x):
     """(1 - e^{-theta} e^{ix})^alpha - (1 - e^{-theta})^alpha at x in [-pi, pi], as (real,
     imaginary) parts in real arithmetic. At theta = 0, 1 - e^{ix} = 2 sin(|x|/2)
-    e^{i(x - pi sgn x)/2}. Otherwise it is b^alpha (e^{u+iv} - 1), b = 1 - e^{-theta},
-    N = 1 - e^{-theta} e^{ix}, v = alpha arg N and u = alpha log(|N|/b), formed from
-    |N|/b - 1 = 2 e^{-theta} (1 - cos x) / (b (|N| + b)) to keep its accuracy as x -> 0."""
+    e^{i(x - pi sgn x)/2}. Otherwise it is |N|^alpha e^{iv} - b^alpha = b^alpha (e^{u+iv} - 1),
+    b = 1 - e^{-theta}, N = 1 - e^{-theta} e^{ix}, v = alpha arg N and u = alpha log(|N|/b),
+    formed from |N|/b - 1 = 2 e^{-theta} (1 - cos x) / (b (|N| + b)) to keep its accuracy as
+    x -> 0. The real part is the direct difference where u > 1, which cancels little there,
+    and the expm1 form elsewhere: e^u would scale the rounding of a large u."""
     if theta == 0.0:
         mod = (2.0 * np.sin(0.5 * np.abs(x))) ** alpha
         phase = 0.5 * alpha * (x - np.pi * np.sign(x))
@@ -300,12 +299,12 @@ def _sibuya_side(theta: float, alpha: float, x):
     vers = 2.0 * np.sin(0.5 * x) ** 2  # 1 - cos x
     re_n, im_n = b + damp * vers, -damp * np.sin(x)
     v, n_abs = alpha * np.arctan2(im_n, re_n), np.hypot(re_n, im_n)
-    if b < sys.float_info.min:  # subnormal theta: |N|/b overflows; this cancels only at x ~ b
-        return n_abs**alpha * np.cos(v) - b**alpha, n_abs**alpha * np.sin(v)
-    u = alpha * np.log1p(2.0 * damp * vers / (n_abs + b) / b)
-    scale = b**alpha
-    return (scale * (np.expm1(u) * np.cos(v) - 2.0 * np.sin(0.5 * v) ** 2),
-            scale * np.exp(u) * np.sin(v))
+    with np.errstate(over="ignore"):  # |N|/b overflows at subnormal b, where u is large anyway
+        u = alpha * np.log1p(2.0 * damp * vers / (n_abs + b) / b)
+    mod, scale = n_abs**alpha, b**alpha
+    return (np.where(u > 1.0, mod * np.cos(v) - scale,
+                     scale * (np.expm1(u) * np.cos(v) - 2.0 * np.sin(0.5 * v) ** 2)),
+            mod * np.sin(v))
 
 
 class _SibuyaPair:
@@ -431,11 +430,17 @@ class PolylogDS:
         return _polylog_target(self, gaussian=False)
 
     def _jumps(self, rng, count: int) -> np.ndarray:
+        from scipy.special import zeta
+
+        # some jump reaches 2^62 with the law's own chance, zeta(s, 2^62) / zeta(s) each; numpy's
+        # zipf stops near 2^63, so draws past 2^62 are redrawn to follow the law cut at 2^62
+        s = 1.0 + self.alpha
+        if rng.generator.binomial(count, zeta(s, sampling._INT_LIMIT) / zeta(s)) > 0:
+            raise PrecisionError("zeta jump reaches 2^62, beyond the integer range")
         sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
-        k = sampling.sample_zeta(1.0 + self.alpha, rng, count)
-        # numpy's zipf stops at about 2^63, so a draw of 2^62 or more shows
-        # that the cut drops mass of the law
-        sampling._check_range(k, "zeta")
+        k = sampling.sample_zeta(s, rng, count)
+        while (far := np.flatnonzero(k >= sampling._INT_LIMIT)).size:
+            k[far] = sampling.sample_zeta(s, rng, far.size)
         k *= sign
         return k
 

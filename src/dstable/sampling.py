@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 _BATCH = 1 << 16
 # draws, and a draw's sum of jumps in lattice steps, must stay below 2^62
 _INT_LIMIT = 1 << 62
@@ -42,45 +41,33 @@ _INT_LIMIT = 1 << 62
 _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 class RngState:
     """Deterministic random stream with cheap independent splits.
 
-    Wraps a counter-based generator keyed by a 64-bit seed; `split(i)` derives
-    the i-th child stream as a pure function of (state key, i), so a batch
-    partition maps to the same streams no matter which thread runs which batch.
+    Wraps a Philox generator keyed by numpy's SeedSequence; `split(i)` derives
+    the i-th child stream from the spawn key (parent's key + (i,)), a pure
+    function of the seed and the path of splits, so a batch partition maps to
+    the same streams no matter which thread runs which batch.
     """
 
-    __slots__ = ("_base", "_gen")
+    __slots__ = ("_seq", "_gen")
 
     def __init__(self, seed: int):
         seed = _check_index(seed, "seed")
         if seed > _MASK64:
             raise DomainError("seed must fit in 64 bits")
-        self._key(_splitmix64(seed))
+        self._start(np.random.SeedSequence(seed))
 
-    def _key(self, base: int) -> None:
-        self._base = base
-        self._gen = np.random.Generator(np.random.Philox(key=base | (_splitmix64(base) << 64)))
-
-    @classmethod
-    def _from_base(cls, base: int) -> "RngState":
-        out = cls.__new__(cls)
-        out._key(base)
-        return out
+    def _start(self, seq: np.random.SeedSequence) -> None:
+        self._seq, self._gen = seq, np.random.Generator(np.random.Philox(seq))
 
     def split(self, child_index: int) -> "RngState":
         """Independent child stream number `child_index`; does not advance self."""
         child_index = _check_index(child_index, "child_index")
-        mixed = (self._base ^ ((child_index + 1) * _GOLDEN)) & _MASK64
-        return RngState._from_base(_splitmix64(mixed))
+        child = RngState.__new__(RngState)
+        child._start(np.random.SeedSequence(
+            self._seq.entropy, spawn_key=self._seq.spawn_key + (child_index,)))
+        return child
 
     @property
     def generator(self) -> np.random.Generator:
@@ -165,8 +152,8 @@ def sample_zeta(s: float, rng: RngState, size=None):
     """K >= 1 with P(K = k) = k^{-s} / zeta(s), by numpy's `Generator.zipf`.
 
     numpy proposes only values up to about 2^63, so the draws follow the law
-    conditioned on K below that. Callers that need the whole law treat a draw of
-    2^62 or more as a PrecisionError, as PolylogDS does.
+    conditioned on K below that. PolylogDS redraws those at 2^62 or more and
+    raises with the law's own chance of such a jump.
     """
     if not s > 1.0:
         raise DomainError(f"s must be > 1, got {s!r}")
@@ -184,11 +171,10 @@ def _signs(frac_positive: float, gen: np.random.Generator, count: int) -> np.nda
 
 
 def _from_table(cdf: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
-    """K in 1..len(cdf) with P(K <= k) = cdf[k-1], by inverse-CDF search."""
-    k = np.searchsorted(cdf, gen.random(count), side="right").astype(np.int64, copy=False)
-    np.minimum(k, cdf.size - 1, out=k)
-    k += 1
-    return k
+    """Indices j in 0..len(cdf)-1 with P(j <= i) = cdf[i], by inverse-CDF search."""
+    j = np.searchsorted(cdf, gen.random(count), side="right").astype(np.int64, copy=False)
+    np.minimum(j, cdf.size - 1, out=j)
+    return j
 
 
 def _compound_poisson(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
@@ -256,7 +242,7 @@ def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: i
     if n == 0:
         return np.empty(0)
     # one 63-bit draw advances rng; the batches run on splits of the stream it keys
-    session = RngState._from_base(int(rng.generator.integers(0, 1 << 63, dtype=np.int64)))
+    session = RngState(int(rng.generator.integers(0, 1 << 63)))
     batches = range(-(-n // _BATCH))
 
     def run(i):

@@ -488,9 +488,9 @@ def test_prelimit_crossover_regimes():
     assert np.all(np.diff(rep.predicted_sum_variance) < 0.0)
     # frozen run (seed 7): regression band wide enough to survive
     # quadrature-level drift but not a seeding or scaling change
-    assert np.allclose(rep.ks_to_stable, [0.021188, 0.060128, 0.165562],
+    assert np.allclose(rep.ks_to_stable, [0.02225, 0.058297, 0.166596],
                        atol=2e-3)
-    assert np.allclose(rep.ks_to_gaussian, [0.321892, 0.214633, 0.107544],
+    assert np.allclose(rep.ks_to_gaussian, [0.314179, 0.211413, 0.101137],
                        atol=2e-3)
     assert rep.reps == 10_000 and rep.seed == 7
 

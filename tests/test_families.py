@@ -476,6 +476,62 @@ def test_discrete_stable_pair_log_cf_mpmath(theta1, theta2, alpha):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14, beta
 
 
+# _sibuya_side at tiny theta, from 50-digit mpmath with b = -expm1(-theta), at x in
+# _SIDE_X[:5]; u = alpha log(|N|/b) is in the hundreds there, and e^u scaled its rounding
+# to 5.4e-14 before the side took |N|^alpha e^{iv} - b^alpha wherever u > 1
+_TINY_THETA_MPMATH = {
+    (1e-300, 0.05): (
+        0.3537196179682455-0.027838337662555217j, 0.7057648107245987-0.055527141848487005j,
+        0.9633278319669976-0.06371063953657113j, 1.0259508651219331-0.02928840170324163j,
+        1.0352649238413765-3.1695846881296783e-18j,
+    ),
+    (1e-300, 0.3): (
+        0.001777791740240333-0.0009058301352175381j, 0.11217964597596326-0.05713719066505975j,
+        0.7469755168665049-0.31250977325470336j, 1.151919213740321-0.19920426666877494j,
+        1.2311444133449163-2.2615755976364962e-17j,
+    ),
+    (1e-300, 0.7): (
+        2.2753424281382296e-07-4.4656109492218276e-07j,
+        0.003608651526954177-0.007076253593847963j, 0.3679914525488513-0.48786687780239574j,
+        1.3262274203570512-0.5600282193598879j, 1.624504792712471-6.963056081082016e-17j,
+    ),
+    (1e-300, 0.9999): (
+        1.574059908431527e-13-1.0020744629738016e-09j,
+        6.574835747675838e-07-0.0010006907564838665j, 0.12248937726414713-0.47944309731313584j,
+        1.4161250192265433-0.9091692647622596j, 1.9998613753683072-1.2244394598500062e-16j,
+    ),
+    (2.3e-308, 0.05): (
+        0.3537196179682461-0.027838337662555217j, 0.7057648107245993-0.055527141848487005j,
+        0.9633278319669981-0.06371063953657113j, 1.0259508651219338-0.02928840170324163j,
+        1.0352649238413771-3.1695846881296783e-18j,
+    ),
+    (2.3e-308, 0.3): (
+        0.001777791740240333-0.0009058301352175381j, 0.11217964597596326-0.05713719066505975j,
+        0.7469755168665049-0.31250977325470336j, 1.151919213740321-0.19920426666877494j,
+        1.2311444133449163-2.2615755976364962e-17j,
+    ),
+    (2.3e-308, 0.7): (
+        2.2753424281382296e-07-4.4656109492218276e-07j,
+        0.003608651526954177-0.007076253593847963j, 0.3679914525488513-0.48786687780239574j,
+        1.3262274203570512-0.5600282193598879j, 1.624504792712471-6.963056081082016e-17j,
+    ),
+    (2.3e-308, 0.9999): (
+        1.574059908431527e-13-1.0020744629738016e-09j,
+        6.574835747675838e-07-0.0010006907564838665j, 0.12248937726414713-0.47944309731313584j,
+        1.4161250192265433-0.9091692647622596j, 1.9998613753683072-1.2244394598500062e-16j,
+    ),
+}
+
+
+@pytest.mark.parametrize("theta,alpha", sorted(_TINY_THETA_MPMATH))
+def test_sibuya_side_tiny_theta_mpmath(theta, alpha):
+    x = np.array(_SIDE_X[:5])
+    re, im = families._sibuya_side(theta, alpha, np.r_[x, -x])
+    ref = np.array(_TINY_THETA_MPMATH[theta, alpha])
+    ref = np.r_[ref, ref.conj()]
+    assert np.max(np.abs(re + 1j * im - ref) / np.abs(ref)) <= 1e-15
+
+
 # Lambda = (l1 + l2)(1 - (1 - e^{-theta})^alpha) at beta = 0, sigma = a = 1, from 40-digit
 # mpmath; formed as 1 - (...)^alpha, the parent's value was 3.1e-6 and 60% off
 _TEMPERED_RATE_MPMATH = {(0.7, 30.0): 1.4428354958850733e-13,
