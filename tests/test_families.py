@@ -477,8 +477,8 @@ def test_discrete_stable_pair_log_cf_mpmath(theta1, theta2, alpha):
 
 
 # _sibuya_side at tiny theta, from 50-digit mpmath with b = -expm1(-theta), at x in
-# _SIDE_X[:5]; u = alpha log(|N|/b) is in the hundreds there, and e^u scaled its rounding
-# to 5.4e-14 before the side took |N|^alpha e^{iv} - b^alpha wherever u > 1
+# _SIDE_X[:5]; u = alpha log(|N|/b) is in the hundreds there, where b^alpha e^u would
+# scale the rounding of u to about 5e-14
 _TINY_THETA_MPMATH = {
     (1e-300, 0.05): (
         0.3537196179682455-0.027838337662555217j, 0.7057648107245987-0.055527141848487005j,

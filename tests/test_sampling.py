@@ -495,7 +495,7 @@ class TestSampleFamily:
     def test_zeta_raise_frequency_matches_law(self):
         # a sample raises when some jump reaches 2^62; for 7 draws of PolylogDS(0.1, 1, 0, 1)
         # that happens with chance 1 - exp(-7 Lambda zeta(1.1, 2^62) / zeta(1.1)) = 0.614,
-        # where draws from numpy's zipf, cut near 2^63, raised in 8% of the runs
+        # and in 8% of the runs if only zipf's draws, cut near 2^63, are checked
         p = PolylogDS(0.1, 1.0, 0.0, 1.0)
         want = -math.expm1(-7.0 * compound_poisson_view(p).total_intensity
                            * zeta(1.1, 2.0**62) / zeta(1.1))
