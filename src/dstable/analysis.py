@@ -24,6 +24,7 @@ from .families import (
 from .inversion import LatticePMF, _HalfGridMemo, pmf_from_cf
 from .quadrature import tanh_sinh
 from .sampling import RngState, sample_family
+from .special import _check_index
 
 __all__ = [
     "TailReport",
@@ -70,8 +71,8 @@ class TailReport:
         object.__setattr__(self, "scaled_tail", s)
         if x.ndim != 1 or x.shape != s.shape:
             raise DomainError("x_grid and scaled_tail must be 1-d of equal length")
-        if x.size and np.any(np.diff(x) <= 0.0):
-            raise DomainError("x_grid must be strictly increasing")
+        if x.size and not (np.all(np.diff(x) > 0.0) and x[0] > 0.0):  # NaN fails too
+            raise DomainError("x_grid must be strictly increasing and positive")
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
         x = np.asarray(x_grid, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise DomainError("x_grid must be 1-d with at least 2 points")
-        if np.any(np.diff(x) <= 0.0) or x[0] <= 0.0:
+        if not (np.all(np.diff(x) > 0.0) and x[0] > 0.0):  # NaN fails too
             raise DomainError("x_grid must be strictly increasing and positive")
         pmf = _pmf_covering(p, float(x[-1]), alias_tol, n_max)
     tails = _tails(pmf, x)
@@ -250,8 +251,7 @@ def cf_distance(p: FamilyParams, t_max: float, points: int = 2001) -> float:
     """sup_t |char_fn(p, t) - stable_cf(target, t)| over t in [-t_max, t_max]."""
     if not t_max > 0.0:
         raise DomainError(f"t_max must be > 0, got {t_max!r}")
-    if not points >= 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
+    points = _check_index(points, "points", 2)
     target = target_stable(p)
     if target.stable is None:
         raise DomainError(
@@ -267,10 +267,11 @@ def cf_distance(p: FamilyParams, t_max: float, points: int = 2001) -> float:
 # ---------------------------------------------------------------------------
 
 def _gil_pelaez_cutoff(alpha: float, sigma: float, tol: float) -> float:
-    """T with integral remainder beyond T below tol/4 for |cf| = e^{-(sigma t)^a}."""
-    z = 10.0
-    for _ in range(80):
-        z = math.log(4.0 / (math.pi * alpha * tol * z))
+    """T with integral remainder beyond T below tol/4 for |cf| = e^{-(sigma t)^a}: z = (sigma
+    T)^alpha solves z = log(4 / (pi alpha tol z)), so z = W0(4 / (pi alpha tol)), Lambert W."""
+    from scipy.special import lambertw
+
+    z = float(lambertw(4.0 / (math.pi * alpha * tol)).real)
     return z ** (1.0 / alpha) / sigma
 
 
@@ -319,8 +320,8 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
     Absolute error <= tol; output is forced monotone in x. Scalar x gives a
     float, an array gives an array.
     """
-    if not tol >= 1e-8:
-        raise DomainError(f"tol must be >= 1e-8, got {tol!r}")
+    if not 1e-8 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 1e-8, got {tol!r}")
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     xs = np.atleast_1d(x_arr).astype(float).ravel()
@@ -429,6 +430,8 @@ def binned_tv(pmf: LatticePMF, samples, bins: int = 64) -> float:
     idx = np.searchsorted(edges, xs, side="left")
     p_bin = np.bincount(idx, weights=masses, minlength=edges.size + 1) / total
     s = np.asarray(samples, dtype=float).ravel()
+    if s.size == 0:
+        raise DomainError("need at least 1 sample")
     s_bin = np.bincount(np.searchsorted(edges, s, side="left"),
                         minlength=edges.size + 1) / s.size
     return float(0.5 * np.abs(p_bin - s_bin).sum())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -174,6 +174,11 @@ def _polylog_target(p, gaussian: bool) -> AttractionTarget:
     return AttractionTarget(StableParams(p.alpha, beta, sigma), gaussian=gaussian)
 
 
+def _jump_sum(p, rng, n: int) -> np.ndarray:
+    """n draws of p: a Poisson(Lambda) number of p._jumps, summed."""
+    return sampling._compound_poisson(p._total_intensity(), p._jumps, rng, n)
+
+
 # ---------------------------------------------------------------------------
 # the six families
 #
@@ -181,7 +186,7 @@ def _polylog_target(p, gaussian: bool) -> AttractionTarget:
 # _total_intensity() -> Lambda; _log_cf(at), the log CF at at = a*t, which
 # vanishes at at = 0; _levy_weight(k) for a nonzero integer k; _target();
 # and _draw(rng, n), n draws in lattice steps: a Poisson mixture over a stable
-# rate, or a Poisson(Lambda) sum of _jumps(rng, count) in lattice units.
+# rate, or a Poisson sum of jumps in lattice units, as _jump_sum draws from _jumps.
 # _FiniteLevy serves the truncated pair, and _SibuyaPair DiscreteStable and TemperedDS.
 # ---------------------------------------------------------------------------
 
@@ -194,7 +199,7 @@ class _FiniteLevy:
     in `_sum_cdf`, the normalised cumulative masses of the signed jumps -m..m."""
 
     _total_intensity = _intensity_sum
-    _draw = sampling._compound_poisson
+    _draw = _jump_sum
 
     @cached_property
     def _sum_cdf(self):
@@ -349,6 +354,21 @@ class _SibuyaPair:
         return AttractionTarget(StableParams(self.alpha, self.beta, self.sigma),
                                 gaussian=self.theta1 + self.theta2 > 0.0)
 
+    def _draw(self, rng, n: int) -> np.ndarray:
+        # each side on its own: given T = l^(1/alpha) S_alpha, an untempered side Poisson(T) has
+        # CF e^{-T (1 - e^{+-i at})}, whose mean over T is exp(-l (1 - e^{+-i at})^alpha); a
+        # tempered side sums Poisson(rate) tempered Sibuya jumps. The mixing rates come first,
+        # where DiscreteStable's stream has them.
+        rates, thetas = self._side_rates(), (self.theta1, self.theta2)
+        mixing = {i: sampling._stable_rates(rates[i], self.alpha, rng, n)
+                  for i in (0, 1) if thetas[i] == 0.0}
+        right, left = (
+            sampling._poisson_counts(mixing[i], rng) if i in mixing
+            else sampling._compound_poisson(
+                rates[i], partial(sampling.sample_tempered_sibuya, self.alpha, thetas[i]), rng, n)
+            for i in (0, 1))
+        return right - left
+
 
 @dataclass(frozen=True)
 class DiscreteStable(_SibuyaPair):
@@ -361,14 +381,6 @@ class DiscreteStable(_SibuyaPair):
 
     theta1 = theta2 = 0.0  # class attributes, not fields: the untempered pair
     __post_init__ = _validate
-
-    def _draw(self, rng, n: int) -> np.ndarray:
-        # given T_i, a side Poisson(T_i) has CF e^{-T_i (1 - e^{+-i at})}, whose mean
-        # over T_i = l_i^(1/alpha) S_alpha is exp(-l_i (1 - e^{+-i at})^alpha)
-        l1, l2 = self._intensities()
-        right = sampling._stable_rates(l1, self.alpha, rng, n)
-        left = sampling._stable_rates(l2, self.alpha, rng, n)
-        return sampling._poisson_counts(right, rng) - sampling._poisson_counts(left, rng)
 
 
 @dataclass(frozen=True)
@@ -383,20 +395,6 @@ class TemperedDS(_SibuyaPair):
     theta2: float
 
     __post_init__ = _validate
-    _draw = sampling._compound_poisson
-
-    def _jumps(self, rng, count: int) -> np.ndarray:
-        lam1, lam2 = self._side_rates()
-        sign = sampling._signs(lam1 / (lam1 + lam2), rng.generator, count)
-        mag = np.empty(count, dtype=np.int64)
-        for side, theta in ((sign > 0, self.theta1), (sign < 0, self.theta2)):
-            n_side = int(side.sum())
-            if theta > 0.0:
-                mag[side] = sampling.sample_tempered_sibuya(self.alpha, theta, rng, n_side)
-            else:
-                mag[side] = sampling.sample_sibuya(self.alpha, rng, n_side)
-        mag *= sign
-        return mag
 
 
 @dataclass(frozen=True)
@@ -410,7 +408,7 @@ class PolylogDS:
 
     __post_init__ = _validate_polylog
     _total_intensity = _intensity_sum
-    _draw = sampling._compound_poisson
+    _draw = _jump_sum
 
     def _intensities(self):
         z = riemann_zeta(1.0 + self.alpha) * self.a**-self.alpha
@@ -437,12 +435,11 @@ class PolylogDS:
         s = 1.0 + self.alpha
         if rng.generator.binomial(count, zeta(s, sampling._INT_LIMIT) / zeta(s)) > 0:
             raise PrecisionError("zeta jump reaches 2^62, beyond the integer range")
-        sign = sampling._signs(self.p / (self.p + self.q), rng.generator, count)
+        left = rng.generator.random(count) >= self.p / (self.p + self.q)
         k = sampling.sample_zeta(s, rng, count)
         while (far := np.flatnonzero(k >= sampling._INT_LIMIT)).size:
             k[far] = sampling.sample_zeta(s, rng, far.size)
-        k *= sign
-        return k
+        return np.negative(k, out=k, where=left)
 
 
 @dataclass(frozen=True)

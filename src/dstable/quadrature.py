@@ -15,6 +15,7 @@ from .errors import PrecisionError
 # 1 - tanh(z) are not rounded away; beyond Z_MAX the offsets underflow usefulness.
 _Z_MAX = 320.0
 _T_MAX = float(np.arcsinh(2.0 * _Z_MAX / np.pi))
+_MAX_LEVEL = 12  # halvings of the step h = 1 before PrecisionError
 
 
 def _half_nodes(h: float, odd_only: bool):
@@ -35,7 +36,7 @@ def _half_nodes(h: float, odd_only: bool):
     return k[good], offset[good], weight[good]
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
     """Integrate ``f`` over (a, b) with the tanh-sinh rule, doubling until converged.
 
     ``f`` must accept an ndarray of points strictly inside (a, b) and may return an
@@ -50,7 +51,7 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
 
     running = None  # sum of w * f over all nodes seen so far (no h factor)
     previous = None
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         h = 1.0 / (1 << level)
         k, offset, weight = _half_nodes(h, odd_only=level > 0)
         x_hi = b - half * offset
@@ -67,6 +68,6 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
                 return value, err
         previous = value
     raise PrecisionError(
-        f"tanh-sinh quadrature did not reach tol={tol:g} after {max_level} doublings"
+        f"tanh-sinh quadrature did not reach tol={tol:g} after {_MAX_LEVEL} doublings"
     )
 

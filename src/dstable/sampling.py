@@ -166,10 +166,6 @@ def sample_zeta(s: float, rng: RngState, size=None):
 # family sampler
 # ---------------------------------------------------------------------------
 
-def _signs(frac_positive: float, gen: np.random.Generator, count: int) -> np.ndarray:
-    return np.where(gen.random(count) < frac_positive, np.int64(1), np.int64(-1))
-
-
 def _from_table(cdf: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
     """Indices j in 0..len(cdf)-1 with P(j <= i) = cdf[i], by inverse-CDF search."""
     j = np.searchsorted(cdf, gen.random(count), side="right").astype(np.int64, copy=False)
@@ -177,18 +173,18 @@ def _from_table(cdf: np.ndarray, gen: np.random.Generator, count: int) -> np.nda
     return j
 
 
-def _compound_poisson(p: families.FamilyParams, rng: RngState, n: int) -> np.ndarray:
-    """n draws of p in lattice steps: a Poisson(Lambda) number of `p._jumps`, summed.
+def _compound_poisson(rate: float, draw_jumps, rng: RngState, n: int) -> np.ndarray:
+    """n sums, each of a Poisson(rate) number of int64 jumps from `draw_jumps(rng, count)`.
 
     Jumps come in integer lattice units (multiples of a): summing in int64 and
     scaling by a once keeps every sample bit-exact on the PMF's lattice —
     accumulating float multiples of a fractional pitch would drift off it.
     """
-    counts = sample_poisson(p._total_intensity(), rng, n)
+    counts = sample_poisson(rate, rng, n)
     total = int(counts.sum())
     if total == 0:
         return np.zeros(n, dtype=np.int64)
-    jumps = p._jumps(rng, total)
+    jumps = draw_jumps(rng, total)
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     # each nonempty draw's jumps run from its offset to the next nonempty one's

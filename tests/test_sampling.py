@@ -296,21 +296,29 @@ class TestJumps:
             assert abs(emp - want) < 3.0 * math.sqrt(want * (1 - want) / x.size)
 
     def test_sign_magnitude_jumps_never_zero(self):
-        for p in (TemperedDS(0.7, 0.2, 1.0, 1.0, 0.3, 0.4),
-                  PolylogDS(0.9, 2.0, 1.0, 1.0),
+        # a TemperedDS jump is a sample_tempered_sibuya draw, k >= 1 (TestTemperedSibuya)
+        for p in (PolylogDS(0.9, 2.0, 1.0, 1.0),
                   TruncatedPolylogDS(0.9, 2.0, 1.0, 1.0, 32)):
             j = p._jumps(RngState(74), 50_000)
             assert np.all(j != 0)
 
-    def test_tempered_sign_frequency(self):
-        # the side split uses the rates l_i (1 - (1 - e^{-theta_i})^alpha)
+    def test_tempered_sign_frequency(self, monkeypatch):
+        # each side draws its jump count at the rate l_i (1 - (1 - e^{-theta_i})^alpha),
+        # right then left in each batch, and P(X > 0), P(X < 0) follow the PMF
         p = TemperedDS(0.6, 0.2, 1.0, 1.0, 0.2, 1.5)
         l1, l2 = derived_intensities(p)
-        lam1 = l1 * (1.0 - (1.0 - math.exp(-0.2)) ** 0.6)
-        lam2 = l2 * (1.0 - (1.0 - math.exp(-1.5)) ** 0.6)
-        want = lam1 / (lam1 + lam2)
-        j = p._jumps(RngState(77), 500_000)
-        assert abs(np.mean(j > 0) - want) < 4.0 * math.sqrt(want * (1 - want) / j.size)
+        want = [l1 * (1.0 - (1.0 - math.exp(-0.2)) ** 0.6),
+                l2 * (1.0 - (1.0 - math.exp(-1.5)) ** 0.6)]
+        rates, poisson = [], sampling.sample_poisson
+        monkeypatch.setattr(sampling, "sample_poisson",
+                            lambda rate, rng, size: rates.append(rate) or poisson(rate, rng, size))
+        x = sample_family(p, RngState(77), 500_000)
+        assert rates == pytest.approx(want * 8, rel=1e-12)  # 8 batches of up to 2^16
+        pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, 1 << 16)
+        ks = pmf.k_min + np.arange(pmf.masses.size)
+        for emp, mass in ((np.mean(x > 0), pmf.masses[ks > 0].sum()),
+                          (np.mean(x < 0), pmf.masses[ks < 0].sum())):
+            assert abs(emp - mass) < 4.0 * math.sqrt(mass * (1 - mass) / x.size)
 
     def test_gaussian_limit_symmetric_steps_are_unit(self):
         # gamma = 1: X/a = Poisson(Lambda/2) - Poisson(Lambda/2), the sum of a
@@ -383,6 +391,20 @@ class TestStableMixture:
         with pytest.raises(AssertionError, match="compound"):
             sample_family(TemperedDS(0.7, 0.0, 1.0, 0.05, 0.5, 0.5), RngState(86), 10)
 
+    def test_untempered_side_is_the_mixture(self, monkeypatch):
+        # theta1 = 0 with Lambda about 277: the right side draws no Sibuya jump, and the
+        # tempered left side has intensity 0
+        def refuse(*args):
+            raise AssertionError("Sibuya jumps drawn")
+
+        monkeypatch.setattr(sampling, "sample_sibuya", refuse)
+        p = TemperedDS(0.7, 1.0, 1.0, 1e-3, 0.0, 0.5)
+        assert compound_poisson_view(p).total_intensity > 250.0
+        x = sample_family(p, RngState(87), 200_000)
+        t = np.linspace(0.2, 0.8, 20) * math.pi / p.a
+        emp = np.exp(1j * np.outer(t, x)).mean(axis=1)
+        assert np.max(np.abs(emp - char_fn(p, t))) < 4.0 / math.sqrt(x.size)
+
     @pytest.mark.parametrize("rate", [1e19, math.inf, math.nan])
     @pytest.mark.parametrize("p", [SymmetricDS(0.6, 1.0, 1.0), DiscreteStable(0.7, 0.5, 1.0, 1.0)],
                              ids=["SymmetricDS", "DiscreteStable"])
@@ -432,7 +454,9 @@ class TestSampleFamily:
 
     # sha256 of 100k draws as little-endian float64, frozen when streams were
     # keyed by SeedSequence and a table jump became one signed lookup; the mean
-    # lattice KS to each PMF over 20 seeds agreed with the streams before
+    # lattice KS to each PMF over 20 seeds agreed with the streams before.
+    # TemperedDS was frozen again when each side came to be drawn on its own,
+    # with the same 20-seed check
     FROZEN_FAMILIES = {
         "TruncatedSDS": TruncatedSDS(0.4, 1.0, 1.0, 8),
         "TemperedDS": TemperedDS(0.7, 0.3, 1.0, 0.5, 0.05, 0.2),
@@ -442,8 +466,8 @@ class TestSampleFamily:
     FROZEN_DRAWS = {
         ("TruncatedSDS", 7): "50d5aed3a425b44e4935dd2fc43b67b1022d285011e6a0fac6d4bf3ba5b2a611",
         ("TruncatedSDS", 2024): "bf4af6d5e0eab8e1b21016b632f45222a977576574ab9b6045b9b700bfb0270d",
-        ("TemperedDS", 7): "82f1be121fda524b193269fd43695e4f73a43b8627c2b2059b7e5fb45ff112ec",
-        ("TemperedDS", 2024): "e0aadbfd975bb9c9adfd2cab155db733379e70723ad0bb96f3ba41b0c62299d0",
+        ("TemperedDS", 7): "5490b0b614afe16bd78a46472f5c56de9f5e1544ec05fc367fe953f067e7f7b1",
+        ("TemperedDS", 2024): "1e1f97fac5362a0c8e61cd2c8eaa083d598a4aee1a0ec6a7fcbfce6c48f4ee08",
         ("PolylogDS", 7): "18c356336545c17c8ee02511c2027f898a221fa106f6d855c207246b05008feb",
         ("PolylogDS", 2024): "da5639e79d8f4cc3da53e173a7565a4ef8e0fb6096ec12b817cc6699fcb6eb3e",
         ("TruncatedPolylogDS", 7):
@@ -537,11 +561,12 @@ class TestSampleFamily:
     def test_no_jump_gives_int64_zeros(self):
         # Lambda = 1e-9: 1000 draws hold a jump with chance 1e-6
         p = TruncatedPolylogDS(0.8, 1e-9, 0.0, 1.0, 1)
-        out = sampling._compound_poisson(p, RngState(0), 1000)
+        out = sampling._compound_poisson(p._total_intensity(), p._jumps, RngState(0), 1000)
         assert out.dtype == np.int64 and out.shape == (1000,) and not out.any()
 
     def test_tempered_with_one_untempered_side_matches_pmf(self):
-        # theta2 = 0: the left jumps come from sample_sibuya, the right from the tempered law
+        # theta2 = 0: the left side is the Poisson mixture over a stable rate, the right a
+        # Poisson sum of tempered Sibuya jumps
         p = TemperedDS(0.7, 0.3, 1.0, 0.5, 0.2, 0.0)
         pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, 1 << 20)
         x = sample_family(p, RngState(13), size=200_000)
@@ -556,8 +581,8 @@ class TestSampleFamily:
     def test_jump_sum_beyond_int_range_raises(self, monkeypatch, count, jump):
         monkeypatch.setattr(sampling, "sample_poisson",
                             lambda rate, rng, n: np.full(n, count, dtype=np.int64))
-        monkeypatch.setattr(TemperedDS, "_jumps",
-                            lambda p, rng, total: np.full(total, jump, dtype=np.int64))
+        monkeypatch.setattr(sampling, "sample_tempered_sibuya",
+                            lambda alpha, theta, rng, total: np.full(total, jump, dtype=np.int64))
         p = TemperedDS(0.6, 0.4, 1.0, 0.1, 0.5, 0.5)
         with pytest.raises(PrecisionError, match="2\\^62"):
             sample_family(p, RngState(0), size=1000)
