@@ -317,16 +317,16 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
     the CF has decayed below the tolerance budget and integrated by adaptive
     double-exponential quadrature (which raises a precision error where the
     phase oscillates beyond its resolution, e.g. far tails at small alpha).
-    Absolute error <= tol; output is forced monotone in x. Scalar x gives a
-    float, an array gives an array.
+    Absolute error <= tol; output is forced monotone in x, and is 0 and 1 at
+    x = -inf and +inf; NaN raises. Scalar x gives a float, an array an array.
     """
     if not 1e-8 <= tol < math.inf:
         raise DomainError(f"tol must be finite and >= 1e-8, got {tol!r}")
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     xs = np.atleast_1d(x_arr).astype(float).ravel()
-    if xs.size == 0:
-        return xs.copy()
+    if np.isnan(xs).any():
+        raise DomainError("x must not be NaN")
 
     if s.alpha == 2.0 and s.beta == 0.0:
         from scipy.special import ndtr
@@ -339,24 +339,24 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
 
     order = np.argsort(xs, kind="stable")
     sorted_x = xs[order]
-    out_sorted = np.empty_like(sorted_x)
+    out_sorted = np.where(sorted_x > 0.0, 1.0, 0.0)  # the CDF at x = -inf and +inf
 
-    by_series = np.zeros(sorted_x.size, dtype=bool)
+    settled = np.isinf(sorted_x)
     if s.beta == 0.0 and s.alpha < 1.0:
-        x_switch = s.sigma * _SERIES_Z_MAX ** (-1.0 / s.alpha)
-        by_series = np.abs(sorted_x) >= x_switch
+        by_series = ~settled & (np.abs(sorted_x) >= s.sigma * _SERIES_Z_MAX ** (-1.0 / s.alpha))
         if by_series.any():
             far = sorted_x[by_series]
             surv = _sas_survival_series(s.alpha, (s.sigma / np.abs(far)) ** s.alpha, tol)
             out_sorted[by_series] = np.where(far > 0.0, 1.0 - surv, surv)
+        settled |= by_series
 
-    near = sorted_x[~by_series]
+    near = sorted_x[~settled]
     if near.size:
         t_max = _gil_pelaez_cutoff(s.alpha, s.sigma, tol)
         vals = np.empty_like(near)
         for lo in range(0, near.size, 1024):
             vals[lo:lo + 1024] = _gil_pelaez_block(s, near[lo:lo + 1024], t_max, tol)
-        out_sorted[~by_series] = vals
+        out_sorted[~settled] = vals
 
     # monotone rearrangement + range guard
     out_sorted = np.minimum.accumulate(np.maximum.accumulate(out_sorted)[::-1])[::-1]

@@ -428,17 +428,8 @@ class PolylogDS:
         return _polylog_target(self, gaussian=False)
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        from scipy.special import zeta
-
-        # some jump reaches 2^62 with the law's own chance, zeta(s, 2^62) / zeta(s) each; numpy's
-        # zipf stops near 2^63, so draws past 2^62 are redrawn to follow the law cut at 2^62
-        s = 1.0 + self.alpha
-        if rng.generator.binomial(count, zeta(s, sampling._INT_LIMIT) / zeta(s)) > 0:
-            raise PrecisionError("zeta jump reaches 2^62, beyond the integer range")
         left = rng.generator.random(count) >= self.p / (self.p + self.q)
-        k = sampling.sample_zeta(s, rng, count)
-        while (far := np.flatnonzero(k >= sampling._INT_LIMIT)).size:
-            k[far] = sampling.sample_zeta(s, rng, far.size)
+        k = sampling.sample_zeta(1.0 + self.alpha, rng, count)
         return np.negative(k, out=k, where=left)
 
 

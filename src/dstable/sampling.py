@@ -1,10 +1,10 @@
 """Exact samplers for the lattice families and their jump laws.
 
-This module holds the generic samplers (Poisson, Sibuya, tempered Sibuya,
-zeta), thin calls into numpy's Generator, the compound-Poisson sum, and the
-Poisson mixtures over a positive stable rate, whose cost does not depend on
-Lambda; each family class in `families` draws from them, so no family is
-named here. Draws are int64 lattice steps: a jump, count or draw of 2^62 or
+This module holds the generic samplers (Poisson and Sibuya through numpy's
+Generator, tempered Sibuya and zeta by exact rejection), the compound-Poisson
+sum, and the Poisson mixtures over a positive stable rate, whose cost does not
+depend on Lambda; each family class in `families` draws from them, so no family
+is named here. Draws are int64 lattice steps: a jump, count or draw of 2^62 or
 more, or a Poisson rate above numpy's range, raises PrecisionError rather than wrap.
 
 Everything is driven by RngState, a splittable deterministic stream: the same
@@ -149,16 +149,25 @@ def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None)
 
 
 def sample_zeta(s: float, rng: RngState, size=None):
-    """K >= 1 with P(K = k) = k^{-s} / zeta(s), by numpy's `Generator.zipf`.
+    """K >= 1 with P(K = k) = k^{-s} / zeta(s), by Devroye's (1986) rejection from a Pareto.
 
-    numpy proposes only values up to about 2^63, so the draws follow the law
-    conditioned on K below that. PolylogDS redraws those at 2^62 or more and
-    raises with the law's own chance of such a jump.
+    K = floor(U^{-1/(s-1)}) is kept with chance r(K) / r(1), r(k) = 1 / (-k expm1((1-s)
+    log1p(1/k))) being k^{-s} over K's mass at k, in a form exact at s near 1. Draws above
+    2^53 are rounded; one of 2^62 or more raises PrecisionError, with the law's own chance.
     """
     if not s > 1.0:
         raise DomainError(f"s must be > 1, got {s!r}")
     n = 1 if size is None else _check_index(size, "size")
-    out = rng.generator.zipf(s, n)
+    gen, out, done = rng.generator, np.empty(n, dtype=np.int64), 0
+    with np.errstate(over="ignore"):  # U^{-1/(s-1)} may overflow; 2^63 raises all the same
+        while done < n:
+            k = np.floor((1.0 - gen.random(min(n - done, _BATCH))) ** (1.0 / (1.0 - s)))
+            np.minimum(k, 2.0**63, out=k)
+            keep = k[gen.random(k.size) * -k * np.expm1((1.0 - s) * np.log1p(1.0 / k))
+                     <= -math.expm1((1.0 - s) * math.log(2.0))]
+            _check_range(keep, "zeta")
+            out[done:done + keep.size] = keep
+            done += keep.size
     return int(out[0]) if size is None else out
 
 

@@ -391,6 +391,19 @@ def test_stable_cdf_shapes_and_validation():
             stable_cdf(s, 1.0, tol=tol)
 
 
+@pytest.mark.parametrize("s", [StableParams(0.7, 0.5, 1.0), StableParams(0.7, 0.0, 1.0),
+                               StableParams(1.5, 0.0, 2.0), StableParams(2.0, 0.0, 1.0)],
+                         ids=["gil_pelaez", "series", "alpha_1.5", "gaussian"])
+def test_stable_cdf_at_infinity_and_nan(s):
+    # the CDF is exactly 0 at -inf and 1 at +inf on every branch; a NaN is no point
+    # of the line, and raises before any quadrature runs
+    got = stable_cdf(s, np.array([math.inf, 0.0, -math.inf]))
+    assert got[0] == 1.0 and got[2] == 0.0 and got[1] == stable_cdf(s, 0.0)
+    assert stable_cdf(s, math.inf) == 1.0 and stable_cdf(s, -math.inf) == 0.0
+    with pytest.raises(DomainError, match="NaN"):
+        stable_cdf(s, np.array([0.0, 1.0, math.nan]))
+
+
 # ---------------------------------------------------------------------------
 # KS statistic
 # ---------------------------------------------------------------------------

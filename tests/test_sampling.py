@@ -265,6 +265,39 @@ class TestZeta:
         with pytest.raises(DomainError):
             sample_zeta(s, RngState(0))
 
+    @staticmethod
+    def _blocks(s, block, calls, seed):
+        """The draws of the `calls` blocks of `block` draws that did not raise, and
+        the share of blocks that raised."""
+        rng, kept = RngState(seed), []
+        for _ in range(calls):
+            try:
+                kept.append(sample_zeta(s, rng, block))
+            except PrecisionError:
+                pass
+        return np.concatenate(kept), 1.0 - len(kept) / calls
+
+    @pytest.mark.parametrize("s, block, calls", [(1.05, 4, 8000), (1.3, 4096, 256),
+                                                 (1.8, 4096, 256)])
+    def test_far_tail_follows_law_cut_at_2_62(self, s, block, calls):
+        # a block raises when a draw reaches 2^62, which has chance q = zeta(s, 2^62) / zeta(s)
+        # each, so the blocks kept follow the law cut at 2^62: [lo, hi) has chance
+        # (zeta(s, lo) - zeta(s, hi)) / zeta(s) / (1 - q)
+        k, _ = self._blocks(s, block, calls, 71)
+        q = zeta(s, 2.0**62) / zeta(s)
+        edges = np.array([1, 2, 10, 10**3, 10**6, 10**12, 2**50, 2**62], dtype=float)
+        assert k.min() >= 1 and k.max() < 2**62
+        got = np.bincount(np.searchsorted(edges, k, side="right") - 1, minlength=7) / k.size
+        want = -np.diff(zeta(s, edges)) / zeta(s) / (1.0 - q)
+        assert np.all(np.abs(got - want) <= 4.0 * np.sqrt(want * (1.0 - want) / k.size))
+
+    def test_raise_frequency_matches_law(self):
+        # a block of 4 raises with chance 1 - (1 - q)^4 = 0.382 at s = 1.05; a sampler
+        # cut near 2^63 that passes draws of 2^62 and more never raises
+        _, raised = self._blocks(1.05, 4, 4000, 72)
+        want = 1.0 - (1.0 - zeta(1.05, 2.0**62) / zeta(1.05)) ** 4
+        assert abs(raised - want) < 4.0 * math.sqrt(want * (1.0 - want) / 4000)
+
 
 # ---------------------------------------------------------------------------
 # jump laws
@@ -456,7 +489,8 @@ class TestSampleFamily:
     # keyed by SeedSequence and a table jump became one signed lookup; the mean
     # lattice KS to each PMF over 20 seeds agreed with the streams before.
     # TemperedDS was frozen again when each side came to be drawn on its own,
-    # with the same 20-seed check
+    # and PolylogDS when its zeta jumps came from the exact rejection sampler,
+    # each with the same 20-seed check
     FROZEN_FAMILIES = {
         "TruncatedSDS": TruncatedSDS(0.4, 1.0, 1.0, 8),
         "TemperedDS": TemperedDS(0.7, 0.3, 1.0, 0.5, 0.05, 0.2),
@@ -468,8 +502,8 @@ class TestSampleFamily:
         ("TruncatedSDS", 2024): "bf4af6d5e0eab8e1b21016b632f45222a977576574ab9b6045b9b700bfb0270d",
         ("TemperedDS", 7): "5490b0b614afe16bd78a46472f5c56de9f5e1544ec05fc367fe953f067e7f7b1",
         ("TemperedDS", 2024): "1e1f97fac5362a0c8e61cd2c8eaa083d598a4aee1a0ec6a7fcbfce6c48f4ee08",
-        ("PolylogDS", 7): "18c356336545c17c8ee02511c2027f898a221fa106f6d855c207246b05008feb",
-        ("PolylogDS", 2024): "da5639e79d8f4cc3da53e173a7565a4ef8e0fb6096ec12b817cc6699fcb6eb3e",
+        ("PolylogDS", 7): "341ac648bfc6ebc1ee9f795f874698dfcdcd6033d1b42cdd1d9b5b919c6825ec",
+        ("PolylogDS", 2024): "7515bc15bfc6b7da8170624bbcb8e77161f76839353885dc2f99f9411f3e1deb",
         ("TruncatedPolylogDS", 7):
             "c9a1371c50fe3adb7e49ba9b2d6da28be49d1f84c0ee172ca0a3a4cba5acec67",
         ("TruncatedPolylogDS", 2024):
@@ -511,15 +545,15 @@ class TestSampleFamily:
             sample_family(TruncatedSDS(0.4, 1.0, 1.0, 8), RngState(0), size=1000)
 
     def test_zeta_jump_beyond_int_range_raises(self):
-        # at s = 1.05, about 11% of the zeta law lies at 2^62 or more; numpy's
-        # zipf cuts it off near 2^63, so a draw past 2^62 must not pass silently
+        # at s = 1.05, about 11% of the zeta law lies at 2^62 or more, so
+        # 100 000 draws hold such a jump, which must not pass silently
         with pytest.raises(PrecisionError, match="zeta"):
             sample_family(PolylogDS(0.05, 1.0, 0.0, 1.0), RngState(1), size=100_000)
 
     def test_zeta_raise_frequency_matches_law(self):
         # a sample raises when some jump reaches 2^62; for 7 draws of PolylogDS(0.1, 1, 0, 1)
         # that happens with chance 1 - exp(-7 Lambda zeta(1.1, 2^62) / zeta(1.1)) = 0.614,
-        # and in 8% of the runs if only zipf's draws, cut near 2^63, are checked
+        # and in 8% of the runs if the law is cut near 2^63 and only draws past 2^62 raise
         p = PolylogDS(0.1, 1.0, 0.0, 1.0)
         want = -math.expm1(-7.0 * compound_poisson_view(p).total_intensity
                            * zeta(1.1, 2.0**62) / zeta(1.1))
