@@ -13,6 +13,7 @@ so the CF formula of each family is written once.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Callable, Optional, Union
@@ -143,6 +144,8 @@ class CompoundPoissonView:
 # shared numerics
 # ---------------------------------------------------------------------------
 
+_ZETA_HEAD = 4096  # PolylogDS draws jumps up to this size from a table, larger from sample_zeta
+
 
 def _sibuya_weights(gamma: float, m: int) -> np.ndarray:
     """w_1..w_m with w_k = sibuya_pmf(gamma, k), via the stable ratio recurrence."""
@@ -194,22 +197,19 @@ def _jump_sum(p, rng, n: int) -> np.ndarray:
 class _FiniteLevy:
     """A finite Levy measure: mass right w[k] at +k and left w[k] at -k, k = 1..m.
 
-    Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a
-    cached_property, so it is built once per object, as are the sum of w and,
-    in `_sum_cdf`, the normalised cumulative masses of the signed jumps -m..m."""
+    Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a cached_property,
+    built once per object, as is `_jump_search`, the search table of the signed jumps -m..m."""
 
     _total_intensity = _intensity_sum
     _draw = _jump_sum
 
     @cached_property
-    def _sum_cdf(self):
-        right, left, w = self._table
-        cdf = np.cumsum(np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]])
-        return float(np.sum(w)), cdf / cdf[-1]
+    def _jump_search(self):
+        return sampling._search_table(*self._table)
 
     def _intensities(self):
-        right, left, _ = self._table
-        total = self._sum_cdf[0]
+        right, left, w = self._table
+        total = float(np.sum(w))
         return right * total, left * total
 
     def _log_cf(self, at):
@@ -222,9 +222,8 @@ class _FiniteLevy:
         return (right if k > 0 else left) * float(w[abs(k)]) if abs(k) < w.size else 0.0
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        # one uniform and one search per jump: entry j of the table is the jump j - (w.size - 1)
-        steps = sampling._from_table(self._sum_cdf[1], rng.generator, count)
-        steps -= self._table[2].size - 1
+        steps = sampling._from_table(self._jump_search, rng.generator, count)
+        steps -= self._table[2].size - 1  # entry j of the table is the jump j - (w.size - 1)
         if max(steps.max(initial=0), -steps.min(initial=0)) > self.m:  # never, by construction
             raise PrecisionError(f"{type(self).__name__} jump past its support a*m, m = {self.m}")
         return steps
@@ -427,10 +426,19 @@ class PolylogDS:
     def _target(self) -> AttractionTarget:
         return _polylog_target(self, gaussian=False)
 
+    @cached_property
+    def _jump_search(self):
+        from scipy.special import zeta  # the tail beyond K = _ZETA_HEAD sits at +-(K + 1)
+
+        s, k = 1.0 + self.alpha, np.arange(1.0, _ZETA_HEAD + 1.0)
+        return sampling._search_table(self.p, self.q, np.r_[0.0, k**-s, zeta(s, _ZETA_HEAD + 1.0)])
+
     def _jumps(self, rng, count: int) -> np.ndarray:
-        left = rng.generator.random(count) >= self.p / (self.p + self.q)
-        k = sampling.sample_zeta(1.0 + self.alpha, rng, count)
-        return np.negative(k, out=k, where=left)
+        steps = sampling._from_table(self._jump_search, rng.generator, count) - _ZETA_HEAD - 1
+        far = np.flatnonzero((steps == _ZETA_HEAD + 1) | (steps == -_ZETA_HEAD - 1))
+        tail = sampling.sample_zeta(1.0 + self.alpha, rng, far.size, start=_ZETA_HEAD + 1)
+        steps[far] = np.where(steps[far] > 0, tail, -tail)
+        return steps
 
 
 @dataclass(frozen=True)
@@ -460,10 +468,14 @@ FamilyParams = Union[
 
 
 def _family(p) -> FamilyParams:
-    """`p` itself, once checked to be one of the six family parameter objects."""
+    """`p` itself, once checked to be one of the six family parameter objects, whose jump
+    intensities sum to a finite float: PrecisionError if they overflow."""
     if not isinstance(p, FamilyParams):
         raise DomainError(f"not a family parameter object: {p!r}")
-    return p
+    with suppress(OverflowError, ZeroDivisionError):  # a**-alpha overflows, a**alpha underflows
+        if math.isfinite(sum(p._intensities())):
+            return p
+    raise PrecisionError(f"the jump intensity of {p!r} overflows float64")
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +557,7 @@ def symmetric_levy_weights(p: SymmetricDS, k_max: int) -> np.ndarray:
     nu(k) = lam 2^-g Gamma(2g+1) / (Gamma(g) Gamma(g+2)) prod_{j=1}^{k-1} (j-g)/(j+1+g),
     g = gamma, lam = sigma^{2g} (2/a^2)^g. At g = 1 only nu(1) = lam/2 is nonzero.
     """
-    if not isinstance(p, SymmetricDS):
+    if not isinstance(_family(p), SymmetricDS):
         raise DomainError("symmetric_levy_weights applies to SymmetricDS only")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")

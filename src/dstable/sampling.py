@@ -1,11 +1,11 @@
 """Exact samplers for the lattice families and their jump laws.
 
-This module holds the generic samplers (Poisson and Sibuya through numpy's
-Generator, tempered Sibuya and zeta by exact rejection), the compound-Poisson
-sum, and the Poisson mixtures over a positive stable rate, whose cost does not
-depend on Lambda; each family class in `families` draws from them, so no family
-is named here. Draws are int64 lattice steps: a jump, count or draw of 2^62 or
-more, or a Poisson rate above numpy's range, raises PrecisionError rather than wrap.
+This module holds the generic samplers (Poisson and Sibuya through numpy's Generator,
+tempered Sibuya and zeta by exact rejection), the guide-table search of signed jump
+tables, the compound-Poisson sum, and the Poisson mixtures over a positive stable rate,
+whose cost does not depend on Lambda; each family class in `families` draws from them,
+so no family is named here. Draws are int64 lattice steps: a jump, count or draw of 2^62
+or more, or a Poisson rate above numpy's range, raises PrecisionError rather than wrap.
 
 Everything is driven by RngState, a splittable deterministic stream: the same
 seed and call sequence produce the same draws on every platform, and batch
@@ -148,23 +148,24 @@ def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None)
     return int(out[0]) if size is None else out
 
 
-def sample_zeta(s: float, rng: RngState, size=None):
-    """K >= 1 with P(K = k) = k^{-s} / zeta(s), by Devroye's (1986) rejection from a Pareto.
+def sample_zeta(s: float, rng: RngState, size=None, start: int = 1):
+    """K >= start with P(K = k) = k^{-s} / zeta(s, start), by Devroye's (1986) Pareto rejection.
 
-    K = floor(U^{-1/(s-1)}) is kept with chance r(K) / r(1), r(k) = 1 / (-k expm1((1-s)
-    log1p(1/k))) being k^{-s} over K's mass at k, in a form exact at s near 1. Draws above
-    2^53 are rounded; one of 2^62 or more raises PrecisionError, with the law's own chance.
+    K = floor(start U^{-1/(s-1)}) is kept with chance r(K) / r(start), r(k) = 1 / (-k expm1((1-s)
+    log1p(1/k))) being k^{-s} over K's mass at k, in a form exact at s near 1. Draws above 2^53
+    are rounded; one of 2^62 or more raises PrecisionError, with the law's own chance.
     """
     if not s > 1.0:
         raise DomainError(f"s must be > 1, got {s!r}")
+    start = _check_index(start, "start", 1)
     n = 1 if size is None else _check_index(size, "size")
     gen, out, done = rng.generator, np.empty(n, dtype=np.int64), 0
+    bound = -start * math.expm1((1.0 - s) * math.log1p(1.0 / start))  # 1 / r(start)
     with np.errstate(over="ignore"):  # U^{-1/(s-1)} may overflow; 2^63 raises all the same
         while done < n:
-            k = np.floor((1.0 - gen.random(min(n - done, _BATCH))) ** (1.0 / (1.0 - s)))
+            k = np.floor(start * (1.0 - gen.random(min(n - done, _BATCH))) ** (1.0 / (1.0 - s)))
             np.minimum(k, 2.0**63, out=k)
-            keep = k[gen.random(k.size) * -k * np.expm1((1.0 - s) * np.log1p(1.0 / k))
-                     <= -math.expm1((1.0 - s) * math.log(2.0))]
+            keep = k[gen.random(k.size) * -k * np.expm1((1.0 - s) * np.log1p(1.0 / k)) <= bound]
             _check_range(keep, "zeta")
             out[done:done + keep.size] = keep
             done += keep.size
@@ -175,11 +176,30 @@ def sample_zeta(s: float, rng: RngState, size=None):
 # family sampler
 # ---------------------------------------------------------------------------
 
-def _from_table(cdf: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Indices j in 0..len(cdf)-1 with P(j <= i) = cdf[i], by inverse-CDF search."""
-    j = np.searchsorted(cdf, gen.random(count), side="right").astype(np.int64, copy=False)
-    np.minimum(j, cdf.size - 1, out=j)
-    return j
+def _search_table(right: float, left: float, w: np.ndarray):
+    """(cdf, guide) for _from_table over the jumps -n..n, n = w.size - 1, entry j being the jump
+    j - n: cdf their normalised cumulative masses left w[n..1], (left + right) w[0], right w[1..n],
+    and guide[g] the first j with cdf[j] > g / G, G the least power of two >= 4 len(cdf)."""
+    cdf = np.cumsum(np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]])
+    cdf /= cdf[-1]
+    cells = 1 << (4 * cdf.size - 1).bit_length()
+    return cdf, np.searchsorted(cdf, np.arange(cells) / cells, side="right")
+
+
+def _from_table(table, gen: np.random.Generator, count: int) -> np.ndarray:
+    """Indices j with P(j <= i) = cdf[i], (cdf, guide) = table: for each uniform u exactly
+    np.searchsorted(cdf, u, side="right"), by indexed search (Chen and Asau 1974): guide[floor(u G)]
+    (exact, as G is a power of two), unless cdf there is <= u, which sends about 1% of the draws
+    on to searchsorted. Blocks of _BATCH draws keep the arrays small."""
+    cdf, guide = table
+    out = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, _BATCH):
+        u = gen.random(min(count - lo, _BATCH))
+        j = out[lo:lo + u.size]
+        np.take(guide, (u * guide.size).astype(np.intp), out=j)
+        slow = np.flatnonzero(cdf[j] <= u)
+        j[slow] = np.searchsorted(cdf, u[slow], side="right")
+    return out
 
 
 def _compound_poisson(rate: float, draw_jumps, rng: RngState, n: int) -> np.ndarray:
@@ -194,11 +214,9 @@ def _compound_poisson(rate: float, draw_jumps, rng: RngState, n: int) -> np.ndar
     if total == 0:
         return np.zeros(n, dtype=np.int64)
     jumps = draw_jumps(rng, total)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    # each nonempty draw's jumps run from its offset to the next nonempty one's
+    # each nonempty draw's jumps run from its start to the next nonempty one's
     nonempty = counts > 0
-    starts = offsets[nonempty]
+    starts = (np.cumsum(counts) - counts)[nonempty]
     sums = np.zeros(n, dtype=np.int64)
     sums[nonempty] = np.add.reduceat(jumps, starts)
     if max(int(jumps.max()), -int(jumps.min())) * int(counts.max()) >= _INT_LIMIT:

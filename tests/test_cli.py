@@ -209,6 +209,18 @@ def test_tails_unresolvable_window_is_precision_failure(capsys):
     assert rc == 3 and "window" in err
 
 
+@pytest.mark.parametrize("command", [["cf", "--t-max", "1"], ["sample", "--size", "10"],
+                                     ["pmf", "--n", "64"]])
+@pytest.mark.parametrize("family", [
+    ["polylog-ds", "--alpha", "400", "--P", "1", "--Q", "0", "--a", "0.1"],
+    ["sds", "--gamma", "0.5", "--sigma", "1e300", "--a", "1e-300"],
+])
+def test_overflowing_intensity_is_precision_failure(capsys, command, family):
+    # the jump intensity is past float64: exit 3 with a message, no traceback or NaN rows
+    rc, out, err = _run(capsys, command[:1] + family + command[1:])
+    assert rc == 3 and "overflows float64" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dstable import families
-from dstable.errors import DomainError
+from dstable.errors import DomainError, PrecisionError
 from dstable.families import (
     AttractionTarget,
     CompoundPoissonView,
@@ -266,6 +266,30 @@ def test_dispatchers_reject_non_family_objects():
                  lambda: target_stable(s), lambda: sample_family(s, RngState(0), 10),
                  lambda: sample_family(s, RngState(0), 0)):
         with pytest.raises(DomainError, match="not a family parameter object"):
+            call()
+
+
+@pytest.mark.parametrize("p", [
+    PolylogDS(400.0, 1.0, 0.0, 0.1),  # a^-alpha = 1e400
+    TruncatedPolylogDS(400.0, 1.0, 0.0, 0.1, 4),
+    DiscreteStable(0.7, 0.5, 1e300, 1e-300),  # (sigma / a)^alpha = 1e420
+    TemperedDS(0.7, 0.5, 1e300, 1e-300, 1.0, 1.0),
+    SymmetricDS(0.5, 1e300, 1e-300),  # sigma / a = 1e600
+    SymmetricDS(1.0, 1e300, 1.0),  # sigma^2 = 1e600
+    SymmetricDS(1.0, 1.0, 1e-200),  # a^2 underflows to 0
+    TruncatedSDS(0.5, 1e300, 1e-300, 4),
+])
+def test_overflowing_intensity_is_precision_error(p):
+    # Lambda past float64 raises a typed error everywhere, never a bare OverflowError or
+    # ZeroDivisionError, nor a NaN or -0j CF with a RuntimeWarning
+    calls = [lambda: char_fn(p, 0.3), lambda: char_fn(p, np.linspace(-1.0, 1.0, 5)),
+             lambda: compound_poisson_view(p), lambda: derived_intensities(p),
+             lambda: levy_weight(p, 1), lambda: target_stable(p),
+             lambda: sample_family(p, RngState(0), 10)]
+    if isinstance(p, SymmetricDS):
+        calls.append(lambda: symmetric_levy_weights(p, 4))
+    for call in calls:
+        with pytest.raises(PrecisionError, match="overflows"):
             call()
 
 

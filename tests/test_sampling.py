@@ -266,13 +266,13 @@ class TestZeta:
             sample_zeta(s, RngState(0))
 
     @staticmethod
-    def _blocks(s, block, calls, seed):
+    def _blocks(s, block, calls, seed, start=1):
         """The draws of the `calls` blocks of `block` draws that did not raise, and
         the share of blocks that raised."""
         rng, kept = RngState(seed), []
         for _ in range(calls):
             try:
-                kept.append(sample_zeta(s, rng, block))
+                kept.append(sample_zeta(s, rng, block, start=start))
             except PrecisionError:
                 pass
         return np.concatenate(kept), 1.0 - len(kept) / calls
@@ -297,6 +297,115 @@ class TestZeta:
         _, raised = self._blocks(1.05, 4, 4000, 72)
         want = 1.0 - (1.0 - zeta(1.05, 2.0**62) / zeta(1.05)) ** 4
         assert abs(raised - want) < 4.0 * math.sqrt(want * (1.0 - want) / 4000)
+
+    @pytest.mark.parametrize("s, start", [(1.05, 4097), (1.3, 2), (1.3, 4097), (1.8, 4097),
+                                          (3.0, 10)])
+    def test_start_follows_hurwitz_law(self, s, start):
+        # from `start` on, [lo, hi) has chance (zeta(s, lo) - zeta(s, hi)) / zeta(s, start),
+        # cut at 2^62 as above: blocks of 4 keep the raising ones rare at s = 1.05
+        block, calls = (4, 8000) if s < 1.1 else (4096, 64)
+        k, raised = self._blocks(s, block, calls, 73, start)
+        q = zeta(s, 2.0**62) / zeta(s, start)
+        assert k.min() >= start and k.max() < 2**62
+        want = 1.0 - (1.0 - q) ** block
+        assert abs(raised - want) <= 4.0 * math.sqrt(want * (1.0 - want) / calls)
+        edges = start * np.array([1, 2, 10, 10**3, 10**6, 10**9, 2**62 / start], dtype=float)
+        got = np.bincount(np.searchsorted(edges, k, side="right") - 1, minlength=6) / k.size
+        want = -np.diff(zeta(s, edges)) / zeta(s, start) / (1.0 - q)
+        assert np.all(np.abs(got - want) <= 4.0 * np.sqrt(want * (1.0 - want) / k.size))
+
+    # sha256 of 200k draws from start 1, as the sampler drew them before it took `start`
+    @pytest.mark.parametrize("s, seed, digest", [
+        (1.3, 81, "6f6bca9a94488e5a758b9915c58a2f45967c6c4efe76c98bc8503ee674bd0d8d"),
+        (1.8, 82, "8a17cf097c40993f39ddb9fa0a823ae8abfe3da3a0a4b204084cb854b7da3fa3"),
+        (3.0, 83, "d889686ae7ff2ab1664f63fe3171d502ce6532dfac2c2aa9b2ad357d641cf256"),
+    ])
+    def test_start_one_stream_frozen(self, s, seed, digest):
+        k = sample_zeta(s, RngState(seed), 200_000, start=1)
+        assert hashlib.sha256(np.ascontiguousarray(k, dtype="<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("start", [0, -3, 2.0, True])
+    def test_bad_start(self, start):
+        with pytest.raises(DomainError, match="start"):
+            sample_zeta(2.0, RngState(0), 10, start=start)
+
+
+class _Uniforms:
+    """Stands in for a Generator: random(n) hands out the next n of the given uniforms."""
+
+    def __init__(self, u):
+        self.u, self.at = np.asarray(u, dtype=float), 0
+
+    def random(self, n):
+        self.at += n
+        return self.u[self.at - n:self.at]
+
+
+class TestTableSearch:
+    # sampling._from_table must find exactly the index np.searchsorted finds, through the
+    # guide table or past it; u = 1 - 2^-53 is the largest uniform numpy draws
+    TOP = 1.0 - 2.0**-53
+
+    @staticmethod
+    def _same_as_searchsorted(table, u):
+        cdf, guide = table
+        u = np.asarray(u, dtype=float)
+        got = sampling._from_table(table, _Uniforms(u), u.size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+        # the guide: G a power of two >= 4 len(cdf), guide[g] the first j with cdf[j] > g / G
+        cells = guide.size
+        assert cells & (cells - 1) == 0 and cells >= 4 * cdf.size
+        assert np.array_equal(guide, np.searchsorted(cdf, np.arange(cells) / cells, side="right"))
+        return got
+
+    @classmethod
+    def _edge_uniforms(cls, table, rng):
+        """Uniforms on and next to every cdf value and cell edge, plus random ones."""
+        cdf, guide = table
+        marks = np.r_[cdf, np.arange(guide.size) / guide.size]
+        marks = marks[marks < 1.0]
+        u = np.r_[0.0, cls.TOP, marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
+                  rng.generator.random(10_000)]
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    def test_one_entry_table(self):
+        table = sampling._search_table(0.3, 0.7, np.array([2.0]))
+        got = self._same_as_searchsorted(table, [0.0, 0.5, self.TOP])
+        assert np.all(got == 0)
+
+    def test_zero_masses_are_never_drawn(self):
+        w = np.array([0.0, 0.0, 1.0, 0.0, 1e-300, 0.0, 3.0, 0.0])
+        table = sampling._search_table(1.0, 0.0, w)
+        got = self._same_as_searchsorted(table, self._edge_uniforms(table, RngState(1)))
+        masses = np.diff(np.r_[0.0, table[0]])
+        assert np.all(masses[got] > 0.0)
+
+    def test_truncated_sds_table_with_tiny_tails(self):
+        # m = 4096: thousands of masses far below 1 / G share the last cells
+        p = TruncatedSDS(0.4, 1.0, 1.0, 4096)
+        table = p._jump_search
+        assert np.diff(table[0]).min() < 1e-12
+        self._same_as_searchsorted(table, self._edge_uniforms(table, RngState(2)))
+
+    def test_blocks_and_generator_stream(self):
+        # more than one block of uniforms: the same indices as one searchsorted over one call
+        table = PolylogDS(0.8, 1.0, 0.5, 0.1)._jump_search
+        n = (1 << 16) * 2 + 7
+        got = sampling._from_table(table, RngState(3).generator, n)
+        want = np.searchsorted(table[0], RngState(3).generator.random(n), side="right")
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1, max_size=40),
+           right=st.floats(0.0, 10.0), left=st.floats(0.0, 10.0), seed=st.integers(0, 2**32))
+    def test_random_tables(self, w, right, left, seed):
+        w = np.array(w)
+        masses = np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]]
+        if not masses.sum() > 0.0:
+            return
+        table = sampling._search_table(right, left, w)
+        self._same_as_searchsorted(table, self._edge_uniforms(table, RngState(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +598,9 @@ class TestSampleFamily:
     # keyed by SeedSequence and a table jump became one signed lookup; the mean
     # lattice KS to each PMF over 20 seeds agreed with the streams before.
     # TemperedDS was frozen again when each side came to be drawn on its own,
-    # and PolylogDS when its zeta jumps came from the exact rejection sampler,
-    # each with the same 20-seed check
+    # and PolylogDS when its zeta jumps came from the exact rejection sampler, and
+    # again when they came from a head table with a zeta tail, each with the same
+    # 20-seed check
     FROZEN_FAMILIES = {
         "TruncatedSDS": TruncatedSDS(0.4, 1.0, 1.0, 8),
         "TemperedDS": TemperedDS(0.7, 0.3, 1.0, 0.5, 0.05, 0.2),
@@ -502,8 +612,8 @@ class TestSampleFamily:
         ("TruncatedSDS", 2024): "bf4af6d5e0eab8e1b21016b632f45222a977576574ab9b6045b9b700bfb0270d",
         ("TemperedDS", 7): "5490b0b614afe16bd78a46472f5c56de9f5e1544ec05fc367fe953f067e7f7b1",
         ("TemperedDS", 2024): "1e1f97fac5362a0c8e61cd2c8eaa083d598a4aee1a0ec6a7fcbfce6c48f4ee08",
-        ("PolylogDS", 7): "341ac648bfc6ebc1ee9f795f874698dfcdcd6033d1b42cdd1d9b5b919c6825ec",
-        ("PolylogDS", 2024): "7515bc15bfc6b7da8170624bbcb8e77161f76839353885dc2f99f9411f3e1deb",
+        ("PolylogDS", 7): "15e4995d971e7e2372fb3c112ec8cc6366ff1b37e58c6872afd03b2f59579c25",
+        ("PolylogDS", 2024): "be10263a866896507c0e88009375f41ae7c1cdcb587f36ea2fe370cb2762bc59",
         ("TruncatedPolylogDS", 7):
             "c9a1371c50fe3adb7e49ba9b2d6da28be49d1f84c0ee172ca0a3a4cba5acec67",
         ("TruncatedPolylogDS", 2024):
@@ -583,6 +693,25 @@ class TestSampleFamily:
         assert got[6] == 0.0 and k.min() >= 1
         want = -np.diff(zeta(1.05, edges.astype(float))) / zeta(1.05) / (1.0 - q)
         assert np.all(np.abs(got[:6] - want) < 4.0 * np.sqrt(want * (1.0 - want) / k.size))
+
+    @pytest.mark.parametrize("right, left", [(1.0, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 3.0)])
+    def test_polylog_jumps_beyond_head_follow_law(self, right, left):
+        # a jump k has chance P k^-s / ((P + Q) zeta(s)) on the right and Q k^-s / ... on the
+        # left, s = 1 + alpha; the table holds |k| <= K = 4096 and the tail beyond comes from
+        # sample_zeta, so each side's share beyond K is P zeta(s, K + 1) / ((P + Q) zeta(s))
+        p, big = PolylogDS(0.8, right, left, 0.1), 4096
+        s, n = 1.8, 4_000_000
+        j = p._jumps(RngState(77), n)
+        assert j.dtype == np.int64 and not np.any(j == 0)
+        for side, mag in ((right, j[j > 0]), (left, -j[j < 0])):
+            for lo, hi in ((1, 2), (2, big + 1), (big + 1, 10 * big), (10 * big, 2.0**62)):
+                want = side / (right + left) * (zeta(s, lo) - zeta(s, hi)) / zeta(s)
+                got = np.count_nonzero((mag >= lo) & (mag < hi)) / n
+                assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n), (lo, hi)
+            want = side / (right + left) * zeta(s, big + 1) / zeta(s)
+            got = np.count_nonzero(mag > big) / n
+            assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n)
+        assert p == PolylogDS(0.8, right, left, 0.1) and repr(p) == repr(PolylogDS(0.8, right, left, 0.1))
 
     def test_capped_zeta_rejects_huge_draws(self):
         # jumps come from a table on 1..m, so a heavy tail beyond m never shows
