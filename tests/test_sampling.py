@@ -302,7 +302,8 @@ class TestZeta:
                                           (3.0, 10)])
     def test_start_follows_hurwitz_law(self, s, start):
         # from `start` on, [lo, hi) has chance (zeta(s, lo) - zeta(s, hi)) / zeta(s, start),
-        # cut at 2^62 as above: blocks of 4 keep the raising ones rare at s = 1.05
+        # cut at 2^62 as above; at s = 1.05 a draw from 4097 reaches 2^62 with chance 0.18,
+        # so blocks of 4 keep about half the calls
         block, calls = (4, 8000) if s < 1.1 else (4096, 64)
         k, raised = self._blocks(s, block, calls, 73, start)
         q = zeta(s, 2.0**62) / zeta(s, start)
