@@ -37,7 +37,6 @@ from .families import (
     derived_intensities,
     levy_weight,
     stable_cf,
-    symmetric_levy_weights,
     target_stable,
 )
 from .inversion import LatticePMF, cdf_from_pmf, pmf_auto, pmf_from_cf, tail_prob
@@ -80,7 +79,6 @@ __all__ = [
     "derived_intensities",
     "levy_weight",
     "stable_cf",
-    "symmetric_levy_weights",
     "target_stable",
     # special functions
     "polylog_unit",

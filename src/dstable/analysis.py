@@ -14,14 +14,12 @@ from .families import (
     FamilyParams,
     StableParams,
     SymmetricDS,
-    TemperedDS,
-    TruncatedSDS,
     char_fn,
     derived_intensities,
     stable_cf,
     target_stable,
 )
-from .inversion import LatticePMF, _HalfGridMemo, pmf_from_cf
+from .inversion import LatticePMF, _HalfGridMemo, pmf_from_cf, tail_prob
 from .quadrature import tanh_sinh
 from .sampling import RngState, sample_family
 from .special import _check_index
@@ -154,21 +152,6 @@ def _fold_in(pmf: LatticePMF, x: float) -> float:
     return (x / pmf.a + 1.0) * (cl[0] + cl[-1])
 
 
-def _tails(pmf: LatticePMF, x: np.ndarray) -> np.ndarray:
-    """tail_prob(pmf, x_i) for each x_i >= 0, from one pass over the clamped masses.
-
-    P(|X| > x) takes the points below -x and above x, never 0 itself, so each half
-    of the window is summed in place from its far end inward: one cumsum left of 0,
-    one reverse cumsum right of it. A zero at each end stands for the mass past it."""
-    xv = pmf.x_values()
-    cl = np.zeros(xv.size + 2)
-    np.maximum(pmf.masses, 0.0, out=cl[1:-1])
-    zero = np.searchsorted(xv, 0.0) + 1  # where x = 0 sits in cl
-    np.cumsum(cl[:zero], out=cl[:zero])
-    np.cumsum(cl[:zero:-1], out=cl[:zero:-1])
-    return cl[np.searchsorted(xv, x, side="right") + 1] + cl[np.searchsorted(xv, -x)]
-
-
 def _pmf_covering(p: FamilyParams, x_max: float, alias_tol: float,
                   n_max: int) -> LatticePMF:
     """PMF whose window reaches 4 x_max out with _fold_in(pmf, x_max) < alias_tol."""
@@ -227,7 +210,7 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
         if not (np.all(np.diff(x) > 0.0) and x[0] > 0.0):  # NaN fails too
             raise DomainError("x_grid must be strictly increasing and positive")
         pmf = _pmf_covering(p, float(x[-1]), alias_tol, n_max)
-    tails = _tails(pmf, x)
+    tails = tail_prob(pmf, x)
     exponent = _decay_exponent(x, tails)
 
     if isinstance(p, SymmetricDS) and p.gamma < 1.0:
@@ -450,11 +433,19 @@ def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
     sums. `predicted_sum_variance` = n^{1 - 2/alpha} Var(X_1) flags the
     regime where finite variance reasserts itself (it collapses to 0 as n
     grows for alpha < 2). Deterministic given seed.
+
+    Takes the families whose target is Gaussian and also stable: TruncatedSDS,
+    TemperedDS, TruncatedPolylogDS below alpha = 2 and SymmetricDS at gamma = 1.
+    A target that stable_cf does not cover (skewed, alpha >= 1) raises before any draw.
     """
-    if not isinstance(p, (TruncatedSDS, TemperedDS)):
+    limit = target_stable(p)
+    target = limit.stable
+    if not (limit.gaussian and target is not None):
         raise DomainError(
-            "pre-limit experiment applies to the truncated or tempered families"
+            "pre-limit experiment applies to the truncated or tempered families "
+            "with a stable target"
         )
+    stable_cf(target, 0.0)  # DomainError here, not after reps * n draws
     n_arr = np.asarray(n_values)
     if (n_arr.ndim != 1 or n_arr.size == 0 or n_arr.dtype.kind not in "iu"
             or n_arr.min() < 1):
@@ -464,7 +455,6 @@ def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
         raise DomainError("reps must be >= 10^4 for a stable KS estimate")
     from scipy.special import ndtr
 
-    target = target_stable(p).stable
     alpha = target.alpha
     rng = RngState(seed)
     ks_stable = np.empty(n_arr.size)

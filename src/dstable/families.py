@@ -23,7 +23,8 @@ from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import _finite_step, _reduce_angle, polylog_unit, riemann_zeta, sibuya_pmf
+from .special import (_finite_step, _lgamma_diff, _reduce_angle, polylog_unit, riemann_zeta,
+                      sibuya_pmf, sibuya_survival)
 
 __all__ = [
     "StableParams",
@@ -42,7 +43,6 @@ __all__ = [
     "compound_poisson_view",
     "levy_weight",
     "target_stable",
-    "symmetric_levy_weights",
 ]
 
 
@@ -231,7 +231,12 @@ class _FiniteLevy:
 
 @dataclass(frozen=True)
 class SymmetricDS:
-    """Symmetric lattice law with CF exp{-sigma^2g (2/a^2)^g (1-cos at)^g}, g = gamma."""
+    """Symmetric lattice law with CF exp{-sigma^2g (2/a^2)^g (1-cos at)^g}, g = gamma.
+
+    (1 - cos at)^g = 2^-g |1 - e^{iat}|^{2g}, so the Levy masses are the fractional
+    centred-difference weights (Ortigueira 2006, Int. J. Math. Math. Sci.):
+    nu(k) = lam 2^-g Gamma(2g+1) / (Gamma(g) Gamma(g+2)) prod_{j=1}^{k-1} (j-g)/(j+1+g),
+    lam = sigma^{2g} (2/a^2)^g, symmetric in k. At g = 1 only nu(+-1) = lam/2 is nonzero."""
 
     gamma: float
     sigma: float
@@ -245,7 +250,16 @@ class SymmetricDS:
         return 0.5 * lam, 0.5 * lam
 
     def _levy_weight(self, k: int) -> float:
-        raise DomainError("SymmetricDS Levy weights come as a table: use symmetric_levy_weights")
+        # the product splits into sibuya_survival(g, k-1) = prod (j-g)/j, exactly 0 past
+        # k = 1 at g = 1, and prod j/(j+1+g) = Gamma(k) Gamma(2+g) / Gamma(k+1+g)
+        g, k = self.gamma, abs(k)
+        head = _walk_rate(self) * 2.0**-g * g * math.gamma(2.0 * g + 1.0) / (
+            math.gamma(g + 1.0) * math.gamma(g + 2.0))  # nu(1), finite at subnormal g
+        if k <= 64:
+            ratio = math.prod(j / (j + 1.0 + g) for j in range(1, k))
+        else:
+            ratio = math.exp(math.lgamma(2.0 + g) - _lgamma_diff(float(k), 1.0 + g))
+        return head * sibuya_survival(g, k - 1) * ratio
 
     def _log_cf(self, at):
         return -_walk_rate(self) * (2.0 * np.sin(0.5 * at) ** 2) ** self.gamma + 0.0j
@@ -537,9 +551,9 @@ def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
 def levy_weight(p: FamilyParams, k) -> float:
     """Mass of the Levy measure at lattice point a*k, k a nonzero integer.
 
-    Defined for five families; SymmetricDS weights come as a table from
-    symmetric_levy_weights. TruncatedSDS weights are lambda b_|k| / 2 from the
-    Chebyshev coefficients of its cosine series, computed in O(m^2) once per object.
+    SymmetricDS masses are a closed form, O(1) in k. TruncatedSDS weights are
+    lambda b_|k| / 2 from the Chebyshev coefficients of its cosine series, computed in
+    O(m^2) once per object.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"k must be an integer, got {k!r}")
@@ -547,27 +561,6 @@ def levy_weight(p: FamilyParams, k) -> float:
     if k == 0:
         raise DomainError("the Levy measure has no mass at 0")
     return _family(p)._levy_weight(k)
-
-
-def symmetric_levy_weights(p: SymmetricDS, k_max: int) -> np.ndarray:
-    """Levy masses of SymmetricDS at lattice points a*1 .. a*k_max (symmetric in k).
-
-    (1 - cos at)^g = 2^-g |1 - e^{iat}|^{2g}, so the masses are the fractional
-    centred-difference weights (Ortigueira 2006, Int. J. Math. Math. Sci.):
-    nu(k) = lam 2^-g Gamma(2g+1) / (Gamma(g) Gamma(g+2)) prod_{j=1}^{k-1} (j-g)/(j+1+g),
-    g = gamma, lam = sigma^{2g} (2/a^2)^g. At g = 1 only nu(1) = lam/2 is nonzero.
-    """
-    if not isinstance(_family(p), SymmetricDS):
-        raise DomainError("symmetric_levy_weights applies to SymmetricDS only")
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    g = p.gamma
-    nu = np.empty(k_max)
-    nu[0] = _walk_rate(p) * 2.0**-g * math.gamma(2.0 * g + 1.0) / (
-        math.gamma(g) * math.gamma(g + 2.0))
-    j = np.arange(1.0, k_max)
-    nu[1:] = nu[0] * np.cumprod((j - g) / (j + 1.0 + g))
-    return nu
 
 
 def target_stable(p: FamilyParams) -> AttractionTarget:

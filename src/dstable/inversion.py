@@ -193,12 +193,25 @@ def pmf_auto(cf, a: float, tol: float = 1e-6, n_max: int = 1 << 24) -> LatticePM
     )
 
 
-def tail_prob(pmf: LatticePMF, x: float) -> float:
-    """P(|X| > x) under the clamped masses: sum over lattice points |a k| > x."""
-    if not (x >= 0.0):
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    keep = np.abs(pmf.x_values()) > x
-    return float(pmf.clamped()[keep].sum())
+def tail_prob(pmf: LatticePMF, x):
+    """P(|X| > x) under the clamped masses: the sum over lattice points |a k| > x, for a
+    scalar x >= 0 (a float back) or an array of them (an array back).
+
+    The points below -x and above x count, never 0 itself, so each side of 0 is summed
+    in place from its far end inward, in one pass: a cumsum left of 0 and a reverse
+    cumsum right of it. A zero at each end stands for the mass past it."""
+    x_arr = np.asarray(x, dtype=float)
+    bad = x_arr[~(x_arr >= 0.0)]  # NaN too
+    if bad.size:
+        raise DomainError(f"x must be >= 0, got {float(bad.flat[0])!r}")
+    xv = pmf.x_values()
+    cl = np.zeros(xv.size + 2)
+    np.maximum(pmf.masses, 0.0, out=cl[1:-1])
+    lo, hi = np.searchsorted(xv, 0.0), np.searchsorted(xv, 0.0, side="right")
+    np.cumsum(cl[:lo + 1], out=cl[:lo + 1])  # cl[i], i <= lo: mass at xv[:i], all < 0
+    np.cumsum(cl[:hi:-1], out=cl[:hi:-1])  # cl[i], i > hi: mass at xv[i - 1:], all > 0
+    out = cl[np.searchsorted(xv, x_arr, side="right") + 1] + cl[np.searchsorted(xv, -x_arr)]
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def cdf_from_pmf(pmf: LatticePMF, x: float) -> float:

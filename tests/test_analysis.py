@@ -30,6 +30,7 @@ from dstable.families import (
     StableParams,
     SymmetricDS,
     TemperedDS,
+    TruncatedPolylogDS,
     TruncatedSDS,
     char_fn,
 )
@@ -227,8 +228,8 @@ def test_tail_check_one_pass_tails_match_tail_prob():
     p = DiscreteStable(0.7, 0.5, 1.0, 0.1)
     pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, 1 << 12)
     x = p.a * np.r_[0.0, 0.5, np.arange(1.0, 60.0), 1000.5, 2047.0, 2048.0, 5000.0]
-    want = np.array([tail_prob(pmf, xi) for xi in x])
-    got = analysis._tails(pmf, x)
+    want = np.array([pmf.clamped()[np.abs(pmf.x_values()) > xi].sum() for xi in x])
+    got = tail_prob(pmf, x)
     assert np.all((got == 0.0) == (want == 0.0))
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -550,6 +551,28 @@ def test_prelimit_rejects_bad_inputs():
     for bad in ([0], [], [[2, 3]], [2.5]):
         with pytest.raises(DomainError, match="n_values"):
             prelimit_experiment(good, bad, reps=10_000, seed=0)
+
+
+def test_prelimit_admits_truncated_polylog():
+    # jumps capped at m = 64 steps: finite variance, so the sums sit near the
+    # Gaussian already at n = 2 and move away from the alpha = 0.8 stable law
+    p = TruncatedPolylogDS(0.8, 1.0, 0.5, 0.1, 64)
+    rep = prelimit_experiment(p, [2, 10], reps=10_000, seed=3)
+    assert np.all(rep.ks_to_gaussian < 0.05)
+    assert np.all(rep.ks_to_stable > 0.3)
+    assert rep.ks_to_stable[1] > rep.ks_to_stable[0]
+    assert np.all(np.diff(rep.predicted_sum_variance) < 0.0)
+
+
+@pytest.mark.parametrize("p", [
+    TruncatedPolylogDS(1.5, 1.0, 0.5, 0.1, 64),  # skewed alpha = 1.5 target: no stable_cf
+    TruncatedPolylogDS(2.5, 1.0, 0.5, 0.1, 64),  # alpha >= 2: no stable target
+])
+def test_prelimit_rejects_target_before_any_draw(p, monkeypatch):
+    monkeypatch.setattr(analysis, "sample_family",
+                        lambda *a, **k: pytest.fail("sample_family was called"))
+    with pytest.raises(DomainError):
+        prelimit_experiment(p, [2], reps=10_000, seed=0)
 
 
 def test_prelimit_report_rejects_malformed():

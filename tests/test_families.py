@@ -24,7 +24,6 @@ from dstable.families import (
     derived_intensities,
     levy_weight,
     stable_cf,
-    symmetric_levy_weights,
     target_stable,
 )
 from dstable.families import _walk_rate
@@ -286,8 +285,6 @@ def test_overflowing_intensity_is_precision_error(p):
              lambda: compound_poisson_view(p), lambda: derived_intensities(p),
              lambda: levy_weight(p, 1), lambda: target_stable(p),
              lambda: sample_family(p, RngState(0), 10)]
-    if isinstance(p, SymmetricDS):
-        calls.append(lambda: symmetric_levy_weights(p, 4))
     for call in calls:
         with pytest.raises(PrecisionError, match="overflows"):
             call()
@@ -658,8 +655,6 @@ def test_levy_weight_domain_errors():
         levy_weight(p, 0)
     with pytest.raises(DomainError):
         levy_weight(p, 1.5)
-    with pytest.raises(DomainError):
-        levy_weight(SymmetricDS(0.5, 1.0, 1.0), 1)
 
 
 # levy_weight(TruncatedSDS(0.4, 1, 1, 8), k) from 40-digit mpmath:
@@ -713,11 +708,12 @@ def test_truncated_table_cache_stays_out_of_dataclass_behaviour(p):
 def test_truncated_sds_levy_weights_approach_symmetric(gamma, sigma, a):
     # nu_k - nu_k^(m) = lambda sum_{j>m} w_j P(j-step walk ends at k), in [0, lambda P(K > m)]
     ks = (1, 2, 3, 10, 15)
-    nu = symmetric_levy_weights(SymmetricDS(gamma, sigma, a), max(ks))
+    nu = [levy_weight(SymmetricDS(gamma, sigma, a), k) for k in ks]
     lam = _walk_rate(SymmetricDS(gamma, sigma, a))
     prev = None
     for m in (16, 256, 2048):
-        d = np.array([nu[k - 1] - levy_weight(TruncatedSDS(gamma, sigma, a, m), k) for k in ks])
+        d = np.array([nu_k - levy_weight(TruncatedSDS(gamma, sigma, a, m), k)
+                      for nu_k, k in zip(nu, ks)])
         assert np.all(d >= 0.0)
         assert np.all(d <= lam * sibuya_survival(gamma, m))
         if prev is not None:
@@ -783,7 +779,7 @@ def test_levy_reconstruction_polylog_bound():
 def test_symmetric_levy_weights_rebuild_cf():
     p = SymmetricDS(0.9, 1.0, 1.0)
     terms = 4096
-    wts = symmetric_levy_weights(p, terms)
+    wts = np.array([levy_weight(p, k) for k in range(1, terms + 1)])
     lam = sum(derived_intensities(p))
     t = np.linspace(0.1, 3.0, 7)
     k = np.arange(1.0, terms + 1)
@@ -840,18 +836,31 @@ _SDS_LEVY_REF = {
 def test_symmetric_levy_weights_closed_form(gamma):
     p = SymmetricDS(gamma, 1.3, 0.7)
     lam = sum(derived_intensities(p))
-    wts = symmetric_levy_weights(p, 100_000)
-    got = wts[np.array(_SDS_LEVY_K) - 1] / lam
-    np.testing.assert_allclose(got, _SDS_LEVY_REF[gamma], rtol=1e-11, atol=0.0)
+    got = np.array([levy_weight(p, k) for k in _SDS_LEVY_K]) / lam
+    np.testing.assert_allclose(got, _SDS_LEVY_REF[gamma], rtol=1e-13, atol=0.0)
+    for k in _SDS_LEVY_K:
+        assert levy_weight(p, -k) == levy_weight(p, k)
     if gamma == 1.0:
-        assert np.count_nonzero(wts) == 1
+        # past k = 1 the closed form is exactly 0, on both sides of its k = 64 switch
+        assert [k for k in range(1, 4097) if levy_weight(p, k) != 0.0] == [1]
 
 
-def test_symmetric_levy_weights_domain():
-    with pytest.raises(DomainError):
-        symmetric_levy_weights(DiscreteStable(0.5, 0.0, 1.0, 1.0), 8)
-    with pytest.raises(DomainError):
-        symmetric_levy_weights(SymmetricDS(0.5, 1.0, 1.0), 0)
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.9])
+def test_symmetric_levy_weight_far_asymptote(gamma):
+    # nu(k) ~ lam 2^-g Gamma(2g+1) sin(pi g) / pi k^{-1-2g}; the next term is O(1/k)
+    p = SymmetricDS(gamma, 1.3, 0.7)
+    lam = sum(derived_intensities(p))
+    k = 10**12
+    asymptote = (lam * 2.0**-gamma * math.gamma(2.0 * gamma + 1.0) * math.sin(math.pi * gamma)
+                 / math.pi * float(k) ** (-1.0 - 2.0 * gamma))
+    assert levy_weight(p, k) == pytest.approx(asymptote, rel=1e-9)
+    assert levy_weight(p, -k) == levy_weight(p, k)
+
+
+def test_symmetric_levy_weight_at_subnormal_gamma():
+    # Gamma(g) overflows below g ~ 6e-309; nu(1) -> lam g as g -> 0
+    p = SymmetricDS(1e-310, 1.0, 1.0)
+    assert levy_weight(p, 1) == pytest.approx(sum(derived_intensities(p)) * 1e-310, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

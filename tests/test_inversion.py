@@ -178,6 +178,22 @@ def test_tail_prob_monotone_and_window_exhaustion():
         tail_prob(pmf, -1.0)
 
 
+@pytest.mark.parametrize("k_min", [-5, -2, 0, 2])
+def test_tail_prob_array_matches_scalar_on_any_window(k_min):
+    # windows that hold 0, end at it, start at it, or miss it
+    pmf = LatticePMF(a=0.5, k_min=k_min, masses=np.array([0.1, 0.2, 0.3, 0.25, 0.15]),
+                     alias_bound=0.0)
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 10.0])
+    got = tail_prob(pmf, x)
+    want = np.array([pmf.masses[np.abs(pmf.x_values()) > xi].sum() for xi in x])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert [tail_prob(pmf, xi) for xi in x] == list(got)
+    assert isinstance(tail_prob(pmf, 0.5), float)
+    for bad in (np.array([1.0, -1.0]), np.array([math.nan]), math.nan):
+        with pytest.raises(DomainError, match="x must be >= 0"):
+            tail_prob(pmf, bad)
+
+
 def test_cdf_right_continuous_step():
     pmf = pmf_from_cf(lambda t: np.cos(t) + 0j, 1.0, 8)
     at_atom = cdf_from_pmf(pmf, 1.0)
