@@ -232,8 +232,8 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
 
 def cf_distance(p: FamilyParams, t_max: float, points: int = 2001) -> float:
     """sup_t |char_fn(p, t) - stable_cf(target, t)| over t in [-t_max, t_max]."""
-    if not t_max > 0.0:
-        raise DomainError(f"t_max must be > 0, got {t_max!r}")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be finite and > 0, got {t_max!r}")
     points = _check_index(points, "points", 2)
     target = target_stable(p)
     if target.stable is None:
@@ -397,8 +397,7 @@ def binned_tv(pmf: LatticePMF, samples, bins: int = 64) -> float:
     bin carries comparable mass and the statistic has a ~sqrt(bins/n) noise
     floor instead of one driven by the lattice resolution.
     """
-    if bins < 2:
-        raise DomainError("bins must be >= 2")
+    bins = _check_index(bins, "bins", 2)
     masses = pmf.clamped()
     total = masses.sum()
     if total <= 0.0:
@@ -451,8 +450,7 @@ def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
             or n_arr.min() < 1):
         raise DomainError("n_values must be a 1-d array of integers >= 1")
     n_arr = n_arr.astype(np.int64)
-    if reps < 10_000:
-        raise DomainError("reps must be >= 10^4 for a stable KS estimate")
+    reps = _check_index(reps, "reps", 10_000)  # fewer draws give no stable KS estimate
     from scipy.special import ndtr
 
     alpha = target.alpha
@@ -474,4 +472,4 @@ def prelimit_experiment(p: FamilyParams, n_values, reps: int, seed: int,
         else:
             ks_gauss[i] = ks_statistic(sums, lambda q: ndtr((q - mean) / sd))
         pred_var[i] = float(n) ** (1.0 - 2.0 / alpha) * var_x
-    return PrelimitReport(n_arr, ks_stable, ks_gauss, pred_var, int(reps), int(seed))
+    return PrelimitReport(n_arr, ks_stable, ks_gauss, pred_var, reps, int(seed))

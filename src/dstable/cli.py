@@ -171,8 +171,8 @@ def _cmd_cf(args):
     p = _build_family(args)
     if args.points < 2:
         raise DomainError(f"--points must be >= 2, got {args.points}")
-    if not args.t_max > 0.0:
-        raise DomainError(f"--t-max must be > 0, got {args.t_max}")
+    if not 0.0 < args.t_max < math.inf:
+        raise DomainError(f"--t-max must be finite and > 0, got {args.t_max}")
     t = np.linspace(-args.t_max, args.t_max, args.points)
     vals = char_fn(p, t)
     meta = _family_meta(args) | {"t_max": args.t_max, "points": args.points}

@@ -2,9 +2,10 @@
 
 Every family lives on the lattice a*Z and is a compound-Poisson law: a total
 jump intensity Lambda and a single-jump law, with CF exp(-Lambda (1 - h(t))).
-Each class holds its parameter rules, its one-sided intensities, Lambda, its
-log CF as a function of a*t, its Levy weights, its stable target and its
-sampler. The public functions below (`char_fn`, `compound_poisson_view`,
+Each class subclasses `FamilyParams`, which holds the defaults they share, and
+defines its parameter rules, its one-sided intensities, Lambda, its log CF as a
+function of a*t, its Levy weights, its stable target and its sampler. The
+public functions below (`char_fn`, `compound_poisson_view`,
 `derived_intensities`, `levy_weight`, `target_stable`) dispatch to the class
 through one guard; `compound_poisson_view` derives h = 1 + log CF / Lambda,
 so the CF formula of each family is written once.
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, partial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import poly2cheb
@@ -162,11 +163,6 @@ def _walk_rate(p) -> float:
     return p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
 
 
-def _intensity_sum(p) -> float:
-    l1, l2 = p._intensities()
-    return l1 + l2
-
-
 def _polylog_target(p, gaussian: bool) -> AttractionTarget:
     if p.alpha >= 2.0:
         return AttractionTarget(None, gaussian=True)
@@ -177,31 +173,37 @@ def _polylog_target(p, gaussian: bool) -> AttractionTarget:
     return AttractionTarget(StableParams(p.alpha, beta, sigma), gaussian=gaussian)
 
 
-def _jump_sum(p, rng, n: int) -> np.ndarray:
-    """n draws of p: a Poisson(Lambda) number of p._jumps, summed."""
-    return sampling._compound_poisson(p._total_intensity(), p._jumps, rng, n)
-
-
 # ---------------------------------------------------------------------------
 # the six families
-#
-# Each class defines, for the dispatchers below: _intensities() -> (l1, l2);
-# _total_intensity() -> Lambda; _log_cf(at), the log CF at at = a*t, which
-# vanishes at at = 0; _levy_weight(k) for a nonzero integer k; _target();
-# and _draw(rng, n), n draws in lattice steps: a Poisson mixture over a stable
-# rate, or a Poisson sum of jumps in lattice units, as _jump_sum draws from _jumps.
-# _FiniteLevy serves the truncated pair, and _SibuyaPair DiscreteStable and TemperedDS.
 # ---------------------------------------------------------------------------
 
 
-class _FiniteLevy:
+class FamilyParams:
+    """Base of the six family dataclasses, holding the defaults they share.
+
+    Each family defines, for the dispatchers below: _intensities() -> (l1, l2);
+    _log_cf(at), the log CF at at = a*t, which vanishes at at = 0; _levy_weight(k) for
+    a nonzero integer k; and _target(). The defaults here check the fields by their
+    _RULES, take Lambda as l1 + l2, and draw as a Poisson(Lambda) sum of _jumps(rng,
+    count), jumps in lattice units; a family whose rate or draws differ overrides them.
+    _FiniteLevy serves the truncated pair, and _SibuyaPair DiscreteStable and TemperedDS."""
+
+    def __post_init__(self):
+        _validate(self)
+
+    def _total_intensity(self) -> float:
+        return sum(self._intensities())
+
+    def _draw(self, rng, n: int) -> np.ndarray:
+        """n draws in lattice steps: a Poisson(Lambda) number of _jumps, summed."""
+        return sampling._compound_poisson(self._total_intensity(), self._jumps, rng, n)
+
+
+class _FiniteLevy(FamilyParams):
     """A finite Levy measure: mass right w[k] at +k and left w[k] at -k, k = 1..m.
 
     Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a cached_property,
     built once per object, as is `_jump_search`, the search table of the signed jumps -m..m."""
-
-    _total_intensity = _intensity_sum
-    _draw = _jump_sum
 
     @cached_property
     def _jump_search(self):
@@ -230,7 +232,7 @@ class _FiniteLevy:
 
 
 @dataclass(frozen=True)
-class SymmetricDS:
+class SymmetricDS(FamilyParams):
     """Symmetric lattice law with CF exp{-sigma^2g (2/a^2)^g (1-cos at)^g}, g = gamma.
 
     (1 - cos at)^g = 2^-g |1 - e^{iat}|^{2g}, so the Levy masses are the fractional
@@ -241,9 +243,6 @@ class SymmetricDS:
     gamma: float
     sigma: float
     a: float
-
-    __post_init__ = _validate
-    _total_intensity = _intensity_sum
 
     def _intensities(self):
         lam = _walk_rate(self)
@@ -289,8 +288,6 @@ class TruncatedSDS(_FiniteLevy):
     a: float
     m: int
 
-    __post_init__ = _validate
-
     @cached_property
     def _table(self):
         # poly2cheb drops trailing b_j that underflow to 0 (m past ~1000)
@@ -325,7 +322,7 @@ def _sibuya_side(theta: float, alpha: float, x):
             mod * np.sin(v))
 
 
-class _SibuyaPair:
+class _SibuyaPair(FamilyParams):
     """The discrete-stable pair: Sibuya jumps with intensities l1 right and l2 left, the
     mass at +-k damped by e^{-theta_i k}. Log CF -l1 S(theta1, at) - l2 conj S(theta2, at),
     S = _sibuya_side. DiscreteStable is the pair at theta1 = theta2 = 0."""
@@ -393,7 +390,6 @@ class DiscreteStable(_SibuyaPair):
     a: float
 
     theta1 = theta2 = 0.0  # class attributes, not fields: the untempered pair
-    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
@@ -407,11 +403,9 @@ class TemperedDS(_SibuyaPair):
     theta1: float
     theta2: float
 
-    __post_init__ = _validate
-
 
 @dataclass(frozen=True)
-class PolylogDS:
+class PolylogDS(FamilyParams):
     """Lattice law whose Levy weights are P k^{-1-alpha} (right) and Q (left)."""
 
     alpha: float
@@ -420,8 +414,6 @@ class PolylogDS:
     a: float
 
     __post_init__ = _validate_polylog
-    _total_intensity = _intensity_sum
-    _draw = _jump_sum
 
     def _intensities(self):
         z = riemann_zeta(1.0 + self.alpha) * self.a**-self.alpha
@@ -476,15 +468,11 @@ class TruncatedPolylogDS(_FiniteLevy):
         return _polylog_target(self, gaussian=True)
 
 
-FamilyParams = Union[
-    SymmetricDS, TruncatedSDS, DiscreteStable, TemperedDS, PolylogDS, TruncatedPolylogDS
-]
-
-
 def _family(p) -> FamilyParams:
     """`p` itself, once checked to be one of the six family parameter objects, whose jump
-    intensities sum to a finite float: PrecisionError if they overflow."""
-    if not isinstance(p, FamilyParams):
+    intensities sum to a finite float: PrecisionError if they overflow. The bases
+    (FamilyParams, _FiniteLevy, _SibuyaPair) are not dataclasses, so not families."""
+    if not (isinstance(p, FamilyParams) and is_dataclass(p)):
         raise DomainError(f"not a family parameter object: {p!r}")
     with suppress(OverflowError, ZeroDivisionError):  # a**-alpha overflows, a**alpha underflows
         if math.isfinite(sum(p._intensities())):

@@ -66,6 +66,8 @@ class LatticePMF:
         return np.maximum(self.masses, 0.0)
 
     def mass_at(self, k: int) -> float:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise DomainError(f"k must be an integer, got {k!r}")
         idx = int(k) - self.k_min
         if 0 <= idx < self.masses.size:
             return max(float(self.masses[idx]), 0.0)
@@ -214,7 +216,12 @@ def tail_prob(pmf: LatticePMF, x):
     return float(out) if x_arr.ndim == 0 else out
 
 
-def cdf_from_pmf(pmf: LatticePMF, x: float) -> float:
-    """P(X <= x) under the clamped masses; right-continuous in x."""
-    keep = pmf.x_values() <= x
-    return float(pmf.clamped()[keep].sum())
+def cdf_from_pmf(pmf: LatticePMF, x):
+    """P(X <= x) under the clamped masses, right-continuous in x, for a scalar x (a float
+    back) or an array of them (an array back)."""
+    x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError("x must not be NaN")
+    cum = np.r_[0.0, np.cumsum(pmf.clamped())]  # cum[i]: the mass at the first i points
+    out = cum[np.searchsorted(pmf.x_values(), x_arr, side="right")]
+    return float(out) if x_arr.ndim == 0 else out

@@ -198,6 +198,21 @@ def test_tail_check_tempered_is_super_linear():
     assert 1.02 < r.decay_exponent < 1.3
 
 
+def test_tail_check_vanished_tail_decays_faster_than_any_power():
+    # jumps of one step: P(|X| > 40) is far below the resolvable 1e-12 at both points
+    r = tail_check(TruncatedSDS(0.4, 1.0, 1.0, 1), x_grid=[40.0, 50.0], n_max=1 << 16)
+    assert r.decay_exponent == math.inf and r.super_linear
+
+
+def test_tail_check_short_last_decade_fits_every_point():
+    # only x = 30 lies in [3, 30], the last decade, so the fit takes all three points
+    x = np.array([1.0, 2.0, 30.0])
+    r = tail_check(SymmetricDS(0.4, 1.0, 1.0), x_grid=x, n_max=1 << 20)
+    tails = r.scaled_tail / x**0.8  # scaled_tail is x^{2 gamma} P(|X| > x)
+    want = np.polyfit(np.log(x), np.log(-np.log(tails)), 1)[0]
+    assert r.decay_exponent == pytest.approx(want, rel=1e-12)
+
+
 def test_tail_check_auto_grid_window_too_small():
     with pytest.raises(PrecisionError, match="window beyond n"):
         tail_check(SymmetricDS(0.25, 1.0, 1.0), n_max=1 << 12)
@@ -284,8 +299,9 @@ def test_cf_distance_vanishes_on_tiny_window():
 
 def test_cf_distance_rejects_bad_window():
     p = SymmetricDS(0.75, 1.0, 0.1)
-    with pytest.raises(DomainError, match="t_max"):
-        cf_distance(p, 0.0)
+    for t_max in (0.0, math.inf):
+        with pytest.raises(DomainError, match="t_max"):
+            cf_distance(p, t_max)
     with pytest.raises(DomainError, match="points"):
         cf_distance(p, 10.0, points=1)
     with pytest.raises(DomainError, match="points must be an integer"):
@@ -496,8 +512,9 @@ def test_moments_reject_tiny_samples():
 def test_binned_tv_rejects_single_bin():
     p = TruncatedSDS(0.4, 1.0, 1.0, 8)
     pmf = pmf_from_cf(_cf_of(p), p.a, 1 << 10)
-    with pytest.raises(DomainError):
-        binned_tv(pmf, np.zeros(10), bins=1)
+    for bins in (1, 2.5):
+        with pytest.raises(DomainError, match="bins"):
+            binned_tv(pmf, np.zeros(10), bins=bins)
 
 
 def test_binned_tv_rejects_empty_sample():
@@ -546,8 +563,9 @@ def test_prelimit_rejects_bad_inputs():
     good = TruncatedSDS(0.4, 1.0, 1.0, 8)
     with pytest.raises(DomainError, match="truncated or tempered"):
         prelimit_experiment(SymmetricDS(0.4, 1.0, 1.0), [2], reps=10_000, seed=0)
-    with pytest.raises(DomainError, match="reps"):
-        prelimit_experiment(good, [2], reps=9_999, seed=0)
+    for reps in (9_999, 10_000.0):
+        with pytest.raises(DomainError, match="reps"):
+            prelimit_experiment(good, [2], reps=reps, seed=0)
     for bad in ([0], [], [[2, 3]], [2.5]):
         with pytest.raises(DomainError, match="n_values"):
             prelimit_experiment(good, bad, reps=10_000, seed=0)

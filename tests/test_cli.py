@@ -80,8 +80,9 @@ def test_cf_json_matches_library(capsys):
 def test_cf_rejects_degenerate_grid(capsys):
     rc, _, err = _run(capsys, ["cf"] + SDS_FLAGS + ["--points", "1"])
     assert rc == 2 and "points" in err
-    rc, _, err = _run(capsys, ["cf"] + SDS_FLAGS + ["--t-max", "0"])
-    assert rc == 2 and "t-max" in err
+    for t_max in ("0", "inf"):
+        rc, _, err = _run(capsys, ["cf"] + SDS_FLAGS + ["--t-max", t_max])
+        assert rc == 2 and "t-max" in err
 
 
 # ---------------------------------------------------------------------------

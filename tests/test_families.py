@@ -13,6 +13,7 @@ from dstable.families import (
     AttractionTarget,
     CompoundPoissonView,
     DiscreteStable,
+    FamilyParams,
     PolylogDS,
     StableParams,
     SymmetricDS,
@@ -259,13 +260,13 @@ def test_triangle_identity_random(p):
 
 
 def test_dispatchers_reject_non_family_objects():
-    s = StableParams(0.5, 0.0, 1.0)
-    for call in (lambda: char_fn(s, 1.0), lambda: compound_poisson_view(s),
-                 lambda: derived_intensities(s), lambda: levy_weight(s, 1),
-                 lambda: target_stable(s), lambda: sample_family(s, RngState(0), 10),
-                 lambda: sample_family(s, RngState(0), 0)):
-        with pytest.raises(DomainError, match="not a family parameter object"):
-            call()
+    for s in (StableParams(0.5, 0.0, 1.0), FamilyParams()):  # the bare base has no law
+        for call in (lambda: char_fn(s, 1.0), lambda: compound_poisson_view(s),
+                     lambda: derived_intensities(s), lambda: levy_weight(s, 1),
+                     lambda: target_stable(s), lambda: sample_family(s, RngState(0), 10),
+                     lambda: sample_family(s, RngState(0), 0)):
+            with pytest.raises(DomainError, match="not a family parameter object"):
+                call()
 
 
 @pytest.mark.parametrize("p", [
@@ -280,7 +281,9 @@ def test_dispatchers_reject_non_family_objects():
 ])
 def test_overflowing_intensity_is_precision_error(p):
     # Lambda past float64 raises a typed error everywhere, never a bare OverflowError or
-    # ZeroDivisionError, nor a NaN or -0j CF with a RuntimeWarning
+    # ZeroDivisionError, nor a NaN or -0j CF with a RuntimeWarning; each of the six
+    # classes is a FamilyParams, so the guard passes it on to the overflow check
+    assert isinstance(p, FamilyParams)
     calls = [lambda: char_fn(p, 0.3), lambda: char_fn(p, np.linspace(-1.0, 1.0, 5)),
              lambda: compound_poisson_view(p), lambda: derived_intensities(p),
              lambda: levy_weight(p, 1), lambda: target_stable(p),

@@ -55,6 +55,31 @@ def test_fair_coin():
     assert cdf_from_pmf(pmf, math.inf) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_mass_at_rejects_non_integer_k():
+    pmf = pmf_from_cf(lambda t: np.cos(1.0 * t) + 0j, 1.0, 8)
+    for k in (1.5, math.nan, True):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            pmf.mass_at(k)
+    assert pmf.mass_at(np.int64(-1)) == pmf.mass_at(-1) > 0.0
+
+
+def test_cdf_from_pmf_rejects_nan():
+    pmf = pmf_from_cf(lambda t: np.cos(1.0 * t) + 0j, 1.0, 8)
+    for x in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(DomainError, match="NaN"):
+            cdf_from_pmf(pmf, x)
+
+
+def test_cdf_from_pmf_array_matches_scalar():
+    p = DiscreteStable(0.7, 0.5, 1.0, 0.1)
+    pmf = pmf_from_cf(_cf_of(p), p.a, 1 << 10)
+    x = p.a * np.array([[-600.0, -3.5, -1.0], [0.0, 0.25, 2.0], [7.0, 511.0, math.inf]])
+    got = cdf_from_pmf(pmf, x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert np.array_equal(got, np.vectorize(lambda xi: cdf_from_pmf(pmf, xi))(x))
+    assert isinstance(cdf_from_pmf(pmf, 0.0), float)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
        st.floats(0.1, 2.0))
