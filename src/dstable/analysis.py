@@ -191,7 +191,10 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
     """
     if not 0.0 < alias_tol < 1.0:
         raise DomainError(f"alias_tol must be in (0, 1), got {alias_tol!r}")
+    n_max = _check_index(n_max, "n_max", 8)
     if x_grid is None:
+        if n_max & (n_max - 1):
+            raise DomainError(f"n_max must be a power of two when x_grid is None, got {n_max}")
         pmf = pmf_from_cf(lambda t: char_fn(p, t), p.a, n_max)
         edge = _fold_in(pmf, 0.0)  # the bound at x is (x/a + 1) * edge
         ceiling = p.a * (n_max // 8)  # stay well inside the window
@@ -353,11 +356,19 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
 # sample statistics
 # ---------------------------------------------------------------------------
 
+def _samples(samples, least: int) -> np.ndarray:
+    """`samples` as a flat float array; DomainError below `least` values or on NaN."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < least:
+        raise DomainError(f"need {least} or more samples, got {x.size}")
+    if np.isnan(x).any():
+        raise DomainError("samples must not be NaN")
+    return x
+
+
 def sample_moments(samples):
     """(mean, unbiased variance, excess kurtosis) of a 1-d sample."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise DomainError("need at least 2 samples")
+    x = _samples(samples, 2)
     mean = float(x.mean())
     centered = x - mean
     var = float(np.dot(centered, centered) / (x.size - 1))
@@ -377,9 +388,7 @@ def ks_statistic(samples, cdf, cdf_left=None) -> float:
     left limits are compared against the right-continuous values, which
     overstates the distance by up to the largest atom.
     """
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
-    if x.size == 0:
-        raise DomainError("need at least 1 sample")
+    x = np.sort(_samples(samples, 1))
     n = x.size
     uniq, counts = np.unique(x, return_counts=True)
     cum = np.cumsum(counts) / n
@@ -411,9 +420,7 @@ def binned_tv(pmf: LatticePMF, samples, bins: int = 64) -> float:
     # pmf mass per bin: (-inf, e0], (e0, e1], ..., (e_last, inf)
     idx = np.searchsorted(edges, xs, side="left")
     p_bin = np.bincount(idx, weights=masses, minlength=edges.size + 1) / total
-    s = np.asarray(samples, dtype=float).ravel()
-    if s.size == 0:
-        raise DomainError("need at least 1 sample")
+    s = _samples(samples, 1)
     s_bin = np.bincount(np.searchsorted(edges, s, side="left"),
                         minlength=edges.size + 1) / s.size
     return float(0.5 * np.abs(p_bin - s_bin).sum())

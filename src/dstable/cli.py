@@ -186,19 +186,15 @@ def _cmd_pmf(args):
         pmf = pmf_from_cf(cf, p.a, args.n)
     else:
         pmf = pmf_auto(cf, p.a, tol=args.tol, n_max=args.n_max)
-    masses = pmf.clamped()
-    ks = pmf.k_min + np.arange(masses.size)
     meta = _family_meta(args) | {
-        "n": masses.size,
+        "n": pmf.masses.size,
         "alias_bound": pmf.alias_bound,
     }
-    return meta, ("k", "x", "mass"), (ks, ks * p.a, masses)
+    return meta, ("k", "x", "mass"), (pmf.k_values(), pmf.x_values(), pmf.clamped())
 
 
 def _cmd_sample(args):
     p = _build_family(args)
-    if args.size < 0:
-        raise DomainError(f"--size must be >= 0, got {args.size}")
     rng = RngState(args.seed)
     draws = sample_family(p, rng, args.size, threads=_resolve_threads(args))
     meta = _family_meta(args) | {"size": args.size, "seed": args.seed}

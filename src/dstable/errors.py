@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "PrecisionError", "InversionError"]
+
 
 class DomainError(ValueError):
     """An argument is outside the documented domain of an operation."""

@@ -492,8 +492,9 @@ def derived_intensities(p: FamilyParams):
 
 
 def char_fn(p: FamilyParams, t) -> np.ndarray:
-    """Exact characteristic function of the family at real t (scalar or array)."""
+    """Exact characteristic function of the family at real, finite t (scalar or array)."""
     t_arr = np.asarray(t, dtype=float)
+    _require(np.isfinite(t_arr).all(), "t must be finite")
     scalar = t_arr.ndim == 0
     g = np.exp(_family(p)._log_cf(np.atleast_1d(t_arr) * p.a))
     return complex(g[0]) if scalar else g.reshape(t_arr.shape)
@@ -531,7 +532,9 @@ def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
     lam = _family(p)._total_intensity()
 
     def h(t):
-        return 1.0 + p._log_cf(p.a * np.asarray(t, dtype=float)) / lam
+        t_arr = np.asarray(t, dtype=float)
+        _require(np.isfinite(t_arr).all(), "t must be finite")
+        return 1.0 + p._log_cf(p.a * t_arr) / lam
 
     return CompoundPoissonView(lam, h)
 

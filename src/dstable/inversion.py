@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InversionError, PrecisionError
+from .special import _check_index
 
 __all__ = ["LatticePMF", "pmf_from_cf", "pmf_auto", "tail_prob", "cdf_from_pmf"]
 
@@ -172,8 +173,7 @@ def pmf_auto(cf, a: float, tol: float = 1e-6, n_max: int = 1 << 24) -> LatticePM
     """
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must be in (0, 1), got {tol!r}")
-    if n_max < 256:
-        raise DomainError(f"n_max must be >= 256, the first window, got {n_max!r}")
+    n_max = _check_index(n_max, "n_max", 256)  # 256 is the first window
     memo = _HalfGridMemo(cf)
     n = 256
     history = []

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = ["sibuya_pmf", "sibuya_survival", "riemann_zeta", "polylog_unit"]
+
 # Bernoulli numbers B_2, B_4, ..., B_16
 _B2J = (
     1.0 / 6.0,

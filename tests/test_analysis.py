@@ -238,6 +238,15 @@ def test_tail_check_rejects_alias_tol_outside_unit_interval(tol):
                        n_max=1 << 12)
 
 
+@pytest.mark.parametrize("n_max, grid", [
+    (math.nan, None), (math.nan, [10.0, 100.0]), (2.0**20, None), (2.0**20, [10.0, 100.0]),
+    (4, [10.0, 100.0]), (1000, None),
+])
+def test_tail_check_rejects_bad_n_max(n_max, grid):
+    with pytest.raises(DomainError, match="n_max"):
+        tail_check(SymmetricDS(0.4, 1.0, 1.0), x_grid=grid, n_max=n_max)
+
+
 def test_tail_check_one_pass_tails_match_tail_prob():
     # at lattice points, between them and past the window edge (k = -2048..2047)
     p = DiscreteStable(0.7, 0.5, 1.0, 0.1)
@@ -470,6 +479,11 @@ def test_ks_statistic_rejects_empty():
         ks_statistic([], lambda u: u)
 
 
+def test_ks_statistic_rejects_nan():
+    with pytest.raises(DomainError, match="NaN"):
+        ks_statistic([math.nan, 0.0, 1.0], lambda u: np.full_like(u, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # sample moments
 # ---------------------------------------------------------------------------
@@ -509,6 +523,11 @@ def test_moments_reject_tiny_samples():
         sample_moments([1.0])
 
 
+def test_moments_reject_nan():
+    with pytest.raises(DomainError, match="NaN"):
+        sample_moments([math.nan, 1.0, 2.0])
+
+
 def test_binned_tv_rejects_single_bin():
     p = TruncatedSDS(0.4, 1.0, 1.0, 8)
     pmf = pmf_from_cf(_cf_of(p), p.a, 1 << 10)
@@ -522,6 +541,13 @@ def test_binned_tv_rejects_empty_sample():
     pmf = pmf_from_cf(_cf_of(p), p.a, 1 << 10)
     with pytest.raises(DomainError, match="sample"):
         binned_tv(pmf, [])
+
+
+def test_binned_tv_rejects_nan():
+    p = TruncatedSDS(0.4, 1.0, 1.0, 8)
+    pmf = pmf_from_cf(_cf_of(p), p.a, 1 << 10)
+    with pytest.raises(DomainError, match="NaN"):
+        binned_tv(pmf, [math.nan] * 10 + [0.0])
 
 
 # ---------------------------------------------------------------------------

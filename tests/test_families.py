@@ -149,6 +149,15 @@ def test_cf_hermitian_and_periodic(p):
     assert np.max(np.abs(g - char_fn(p, t + 2.0 * math.pi / p.a))) < 1e-9
 
 
+@pytest.mark.parametrize("p", FIXED_FAMILIES, ids=lambda p: type(p).__name__)
+def test_cf_rejects_non_finite_t(p):
+    h = compound_poisson_view(p).jump_cf
+    for bad in (math.nan, math.inf, np.array([0.0, -math.inf])):
+        for f in (lambda t: char_fn(p, t), h):
+            with pytest.raises(DomainError, match="finite"):
+                f(bad)
+
+
 def test_cf_shapes():
     p = DiscreteStable(0.7, 0.0, 1.0, 1.0)
     assert isinstance(char_fn(p, 1.0), complex)

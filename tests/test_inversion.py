@@ -308,8 +308,9 @@ def test_pmf_auto_cap_raises_with_hint():
         pmf_auto(cf, 1.0, tol=1e-9, n_max=1 << 14)
     with pytest.raises(DomainError):
         pmf_auto(cf, 1.0, tol=0.0)
-    with pytest.raises(DomainError, match="n_max"):
-        pmf_auto(cf, 1.0, tol=1e-6, n_max=128)
+    for n_max in (128, math.nan, 1024.0):
+        with pytest.raises(DomainError, match="n_max"):
+            pmf_auto(cf, 1.0, tol=1e-6, n_max=n_max)
 
 
 @pytest.mark.parametrize("p, tol", [
