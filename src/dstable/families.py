@@ -24,8 +24,8 @@ from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import (_finite_step, _lgamma_diff, _reduce_angle, polylog_unit, riemann_zeta,
-                      sibuya_pmf, sibuya_survival)
+from .special import (_finite_step, _hurwitz_zeta, _lgamma_diff, _reduce_angle, polylog_unit,
+                      riemann_zeta, sibuya_pmf, sibuya_survival)
 
 __all__ = [
     "StableParams",
@@ -434,10 +434,9 @@ class PolylogDS(FamilyParams):
 
     @cached_property
     def _jump_search(self):
-        from scipy.special import zeta  # the tail beyond K = _ZETA_HEAD sits at +-(K + 1)
-
         s, k = 1.0 + self.alpha, np.arange(1.0, _ZETA_HEAD + 1.0)
-        return sampling._search_table(self.p, self.q, np.r_[0.0, k**-s, zeta(s, _ZETA_HEAD + 1.0)])
+        tail = _hurwitz_zeta(s, _ZETA_HEAD + 1)  # the mass beyond K = _ZETA_HEAD, at +-(K + 1)
+        return sampling._search_table(self.p, self.q, np.r_[0.0, k**-s, tail])
 
     def _jumps(self, rng, count: int) -> np.ndarray:
         steps = sampling._from_table(self._jump_search, rng.generator, count) - _ZETA_HEAD - 1
@@ -501,12 +500,13 @@ def char_fn(p: FamilyParams, t) -> np.ndarray:
 
 
 def stable_cf(s: StableParams, t) -> np.ndarray:
-    """CF of the limiting strictly stable law.
+    """CF of the limiting strictly stable law at real, finite t (scalar or array).
 
     At beta = 0: exp(-sigma^alpha |t|^alpha), alpha in (0, 2]. Otherwise the
     skewed strictly stable form, which requires alpha in (0, 1).
     """
     t_arr = np.asarray(t, dtype=float)
+    _require(np.isfinite(t_arr).all(), "t must be finite")
     scalar = t_arr.ndim == 0
     tt = np.atleast_1d(t_arr)
     mag = (s.sigma * np.abs(tt)) ** s.alpha

@@ -396,6 +396,52 @@ def test_stable_cdf_handles_extreme_arguments():
     assert v[1] == pytest.approx(0.5, abs=1e-8)
 
 
+# W0(4 / (pi alpha tol)) from 40-digit mpmath, the Gil-Pelaez cutoff's Lambert W; the
+# argument runs from 1.3e10 down to 6.4e-7, through x < e where log log x is undefined
+_W0_TOLS = (1e-8, 1e-6, 1e-4, 1e-2, 0.5, 10.0, 1e6)
+_W0_REFS = {
+    0.01: (20.258824908633537187, 15.896167195916163737, 11.605588301037338796,
+           7.4444377098406116737, 4.1232420762086463637, 1.9015042728083750312,
+           0.00012730774617958012393),
+    0.3: (17.031172672052152675, 12.718027372456698446, 8.5141483590169678165,
+          4.5381811594704628774, 1.6424782381134886427, 0.31097973056415143911,
+          4.2441138032436776145e-6),
+    1.0: (15.896167195916163737, 11.605588301037338964, 7.4444377098406117997,
+          3.5732571222422019179, 0.96762368169831867111, 0.11364603136524126651,
+          1.2732379235993206524e-6),
+    2.0: (15.244855909897562014, 10.968866876644836724, 6.8364840892468244356,
+          3.041301825028391296, 0.65883961924919728617, 0.059957160763406114272,
+          6.3661936708323384338e-7),
+}
+
+
+@pytest.mark.parametrize("alpha", list(_W0_REFS))
+def test_lambert_w0_frozen(alpha):
+    for tol, ref in zip(_W0_TOLS, _W0_REFS[alpha]):
+        x = 4.0 / (math.pi * alpha * tol)
+        assert analysis._lambert_w0(x) == pytest.approx(ref, rel=5e-16, abs=0.0), tol
+
+
+# Phi(x) from 40-digit mpmath; Phi(-40) = 3.7e-350 is 0 in float64
+_NORMAL_CDF_REFS = (
+    (-40.0, 3.6558935409150297037e-350), (-37.5, 4.6053530095819548438e-308),
+    (-37.0, 5.7255712225245768227e-300), (-30.0, 4.9067139271481870595e-198),
+    (-20.0, 2.7536241186062336951e-89), (-8.5, 9.4795348222033183542e-18),
+    (-3.0, 0.0013498980316300945267), (-1.0, 0.15865525393145705141),
+    (-0.001, 0.49960105778608893741), (0.0, 0.5), (0.25, 0.59870632568292372424),
+    (1.5, 0.933192798731141934), (5.0, 0.99999971334842812081),
+    (8.0, 0.9999999999999993779), (9.0, 0.99999999999999999989), (40.0, 1.0),
+)
+
+
+def test_normal_cdf_frozen():
+    x, ref = np.array(_NORMAL_CDF_REFS).T
+    got = analysis._normal_cdf(x)
+    # erfc(-x/sqrt 2) has condition number ~x^2, so x/sqrt 2 rounded costs x^2 ulps
+    assert np.all(np.abs(got - ref) <= (1.0 + x * x) * 2.0**-52 * ref + 2.0**-1074)
+    assert analysis._normal_cdf(0.3) == pytest.approx(ndtr(0.3), rel=1e-15)
+
+
 @pytest.mark.parametrize("alpha, tol", [(1.9, 0.1), (1.9, 0.5), (1.5, 0.2), (0.5, 0.5)])
 def test_stable_cdf_coarse_tolerance(alpha, tol):
     # the Gil-Pelaez cutoff solves z e^z = 4 / (pi alpha tol), which a fixed-point

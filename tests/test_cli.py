@@ -318,15 +318,22 @@ def _child_env():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-# scipy.special is loaded on first use: a CLI run that never needs it skips its import
-@pytest.mark.parametrize("call, expected", [
+def _child_stdout(script):
+    """stdout of `script` run in a fresh interpreter that imports this dstable."""
+    return subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
+# importing the package and its CLI loads no scipy at all (`before`), and of these two
+# calls only the PolylogDS CF, through its polylog series, loads scipy.special
+@pytest.mark.parametrize("call, expected, loads", [
     ("char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)",
-     lambda: char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)),
+     lambda: char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0), True),
     ("stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)",
-     lambda: stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)),
+     lambda: stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3), False),
 ], ids=["polylog_cf", "gaussian_cdf"])
-def test_scipy_imported_on_first_use(call, expected):
-    script = (
+def test_scipy_imported_on_first_use(call, expected, loads):
+    out = _child_stdout(
         "import sys\n"
         "import dstable, dstable.cli\n"
         "from dstable.analysis import stable_cdf\n"
@@ -335,9 +342,39 @@ def test_scipy_imported_on_first_use(call, expected):
         f"value = {call}\n"
         "print(before, 'scipy.special' in sys.modules, repr(value))\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], env=_child_env(),
-                         capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.split() == ["False", "True", repr(expected())]
+    assert out.split() == ["False", str(loads), repr(expected())]
+
+
+_POLYLOG_FLAGS = ["--alpha", "0.8", "--P", "1", "--Q", "0.5", "--a", "0.1"]
+_TEMPERED_FLAGS = ["--alpha", "0.7", "--beta", "0", "--sigma", "1", "--a", "0.05",
+                   "--theta1", "1e-4", "--theta2", "1e-4"]
+_SAMPLE_FLAGS = {
+    "sds": SDS_FLAGS[1:],
+    "truncated-sds": TRUNC_FLAGS[1:],
+    "ds": ["--alpha", "0.7", "--beta", "0.5", "--sigma", "1", "--a", "0.1"],
+    "tempered-ds": _TEMPERED_FLAGS,
+    "polylog-ds": _POLYLOG_FLAGS,
+    "truncated-polylog-ds": _POLYLOG_FLAGS + ["--m", "64"],
+}
+
+
+# every sample run and prelimit skip the scipy.special import; the PolylogDS CF loads it
+@pytest.mark.parametrize("argv, loads", [
+    *((["sample", family, *flags, "--size", "100"], False)
+      for family, flags in _SAMPLE_FLAGS.items()),
+    (["prelimit", "tempered-ds", *_TEMPERED_FLAGS, "--n-values", "10", "--reps", "10000"],
+     False),
+    (["cf", "polylog-ds", *_POLYLOG_FLAGS, "--points", "5"], True),
+], ids=[*(f"sample_{f}" for f in _SAMPLE_FLAGS), "prelimit_tempered", "cf_polylog"])
+def test_cli_loads_scipy_special_only_for_polylog_cf(argv, loads):
+    out = _child_stdout(
+        "import contextlib, io, sys\n"
+        "from dstable import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main({argv!r})\n"
+        "print(rc, 'scipy.special' in sys.modules)\n"
+    )
+    assert out.split() == ["0", str(loads)]
 
 
 def test_closed_stdout_ends_quietly():

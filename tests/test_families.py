@@ -633,6 +633,23 @@ def test_stable_cf_skewed_domain_errors():
         stable_cf(StableParams(1.3, 0.5, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("s", [StableParams(0.7, 0.0, 1.0), StableParams(0.7, 0.5, 1.0)],
+                         ids=["symmetric", "skewed"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                               np.array([0.0, 1.0, math.nan]), np.array([-math.inf, 2.0])])
+def test_stable_cf_rejects_non_finite_t(s, t):
+    # NaN came back as nan+0j and +-inf as 0, where char_fn raises
+    with pytest.raises(DomainError, match="t must be finite"):
+        stable_cf(s, t)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("a", [1e-3, 0.1, 1.0])
+def test_polylog_cf_is_one_at_origin(alpha, a):
+    # Lambda, the subtracted zeta(s) and polylog_unit(s, 0) share one riemann_zeta value
+    assert char_fn(PolylogDS(alpha, 1.0, 0.5, a), 0.0) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Levy weights
 # ---------------------------------------------------------------------------
