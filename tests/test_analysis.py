@@ -439,7 +439,6 @@ def test_normal_cdf_frozen():
     got = analysis._normal_cdf(x)
     # erfc(-x/sqrt 2) has condition number ~x^2, so x/sqrt 2 rounded costs x^2 ulps
     assert np.all(np.abs(got - ref) <= (1.0 + x * x) * 2.0**-52 * ref + 2.0**-1074)
-    assert analysis._normal_cdf(0.3) == pytest.approx(ndtr(0.3), rel=1e-15)
 
 
 @pytest.mark.parametrize("alpha, tol", [(1.9, 0.1), (1.9, 0.5), (1.5, 0.2), (0.5, 0.5)])
