@@ -37,6 +37,7 @@ __all__ = [
     "binned_tv",
 ]
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _HALF_GAMMA_TOL = 1e-12  # |gamma - 1/2| below this selects the Cauchy-index branch
 _TAIL_FLOOR = 1e-12  # inversion noise plateau is ~1e-15; smaller tails are fiction
 _KS_CDF_TOL = 1e-6  # absolute error of the stable CDF behind each prelimit KS distance
@@ -266,8 +267,15 @@ def _lambert_w0(x: float) -> float:
 
 def _gil_pelaez_cutoff(alpha: float, sigma: float, tol: float) -> float:
     """T with integral remainder beyond T below tol/4 for |cf| = e^{-(sigma t)^a}: z = (sigma
-    T)^alpha solves z = log(4 / (pi alpha tol z)), so z = W0(4 / (pi alpha tol)), Lambert W."""
-    return _lambert_w0(4.0 / (math.pi * alpha * tol)) ** (1.0 / alpha) / sigma
+    T)^alpha solves z = log(4 / (pi alpha tol z)), so z = W0(4 / (pi alpha tol)), Lambert W.
+
+    T is formed in logs, and PrecisionError is raised where it is not a finite float."""
+    log_t = math.log(_lambert_w0(4.0 / (math.pi * alpha * tol))) / alpha - math.log(sigma)
+    if not log_t < _LOG_FLOAT_MAX:
+        raise PrecisionError(
+            f"Gil-Pelaez cutoff exp({log_t:.4g}) exceeds the float range at alpha={alpha}, "
+            f"sigma={sigma}")
+    return math.exp(log_t)
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)

@@ -450,6 +450,15 @@ def test_stable_cdf_coarse_tolerance(alpha, tol):
     assert np.all(np.abs(stable_cdf(s, x, tol=tol) - stable_cdf(s, x)) <= tol)
 
 
+@pytest.mark.parametrize("s", [StableParams(1e-3, 0.0, 1.0),
+                               StableParams(0.3, 0.2, 1e-308)], ids=["tiny_alpha", "tiny_sigma"])
+def test_stable_cdf_cutoff_past_float_range(s):
+    # the cutoff W0(4 / (pi alpha tol))^(1/alpha) / sigma is e^3112 and e^719, past the
+    # float range: a typed error, and no RuntimeWarning (an error under this config)
+    with pytest.raises(PrecisionError, match="cutoff"):
+        stable_cdf(s, 0.5)
+
+
 def test_stable_cdf_shapes_and_validation():
     s = StableParams(0.7, 0.0, 1.0)
     grid = np.array([[-1.0, 0.0], [1.0, 2.0]])

@@ -324,25 +324,28 @@ def _child_stdout(script):
                           capture_output=True, text=True, timeout=120, check=True).stdout
 
 
-# importing the package and its CLI loads no scipy at all (`before`), and of these two
-# calls only the PolylogDS CF, through its polylog series, loads scipy.special
-@pytest.mark.parametrize("call, expected, loads", [
+# evaluated in the child: whether any module of the scipy package has been imported
+_ANY_SCIPY = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+
+# neither importing the package and its CLI nor these calls load any scipy module: the
+# PolylogDS CF, through its polylog series, and the stable CDF
+@pytest.mark.parametrize("call, expected", [
     ("char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)",
-     lambda: char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0), True),
+     lambda: char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)),
     ("stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)",
-     lambda: stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3), False),
+     lambda: stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)),
 ], ids=["polylog_cf", "gaussian_cdf"])
-def test_scipy_imported_on_first_use(call, expected, loads):
+def test_scipy_imported_on_first_use(call, expected):
     out = _child_stdout(
         "import sys\n"
         "import dstable, dstable.cli\n"
         "from dstable.analysis import stable_cdf\n"
         "from dstable.families import PolylogDS, StableParams, char_fn\n"
-        "before = any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
         f"value = {call}\n"
-        "print(before, 'scipy.special' in sys.modules, repr(value))\n"
+        f"print({_ANY_SCIPY}, repr(value))\n"
     )
-    assert out.split() == ["False", str(loads), repr(expected())]
+    assert out.split() == ["False", repr(expected())]
 
 
 _POLYLOG_FLAGS = ["--alpha", "0.8", "--P", "1", "--Q", "0.5", "--a", "0.1"]
@@ -358,23 +361,27 @@ _SAMPLE_FLAGS = {
 }
 
 
-# every sample run and prelimit skip the scipy.special import; the PolylogDS CF loads it
-@pytest.mark.parametrize("argv, loads", [
-    *((["sample", family, *flags, "--size", "100"], False)
+# no command loads scipy: every sample run, prelimit, and the PolylogDS CF in cf,
+# converge and pmf
+@pytest.mark.parametrize("argv", [
+    *(["sample", family, *flags, "--size", "100"]
       for family, flags in _SAMPLE_FLAGS.items()),
-    (["prelimit", "tempered-ds", *_TEMPERED_FLAGS, "--n-values", "10", "--reps", "10000"],
-     False),
-    (["cf", "polylog-ds", *_POLYLOG_FLAGS, "--points", "5"], True),
-], ids=[*(f"sample_{f}" for f in _SAMPLE_FLAGS), "prelimit_tempered", "cf_polylog"])
-def test_cli_loads_scipy_special_only_for_polylog_cf(argv, loads):
+    ["prelimit", "tempered-ds", *_TEMPERED_FLAGS, "--n-values", "10", "--reps", "10000"],
+    ["cf", "polylog-ds", *_POLYLOG_FLAGS, "--points", "5"],
+    ["converge", "polylog-ds", "--alpha", "0.8", "--P", "1", "--Q", "0.5",
+     "--pitches", "0.5,0.1"],
+    ["pmf", "polylog-ds", *_POLYLOG_FLAGS, "--n", "1024"],
+], ids=[*(f"sample_{f}" for f in _SAMPLE_FLAGS), "prelimit_tempered", "cf_polylog",
+        "converge_polylog", "pmf_polylog"])
+def test_cli_loads_scipy_special_only_for_polylog_cf(argv):
     out = _child_stdout(
         "import contextlib, io, sys\n"
         "from dstable import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = cli.main({argv!r})\n"
-        "print(rc, 'scipy.special' in sys.modules)\n"
+        f"print(rc, {_ANY_SCIPY})\n"
     )
-    assert out.split() == ["0", str(loads)]
+    assert out.split() == ["0", "False"]
 
 
 def test_closed_stdout_ends_quietly():
