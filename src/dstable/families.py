@@ -24,8 +24,8 @@ from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import (_finite_step, _hurwitz_zeta, _lgamma_diff, _reduce_angle, polylog_unit,
-                      riemann_zeta, sibuya_pmf, sibuya_survival)
+from .special import (_finite_step, _hurwitz_zeta, _lgamma_diff, _reduce_angle, _sibuya_weights,
+                      polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival)
 
 __all__ = [
     "StableParams",
@@ -146,16 +146,6 @@ class CompoundPoissonView:
 # ---------------------------------------------------------------------------
 
 _ZETA_HEAD = 4096  # PolylogDS draws jumps up to this size from a table, larger from sample_zeta
-
-
-def _sibuya_weights(gamma: float, m: int) -> np.ndarray:
-    """w_1..w_m with w_k = sibuya_pmf(gamma, k), via the stable ratio recurrence."""
-    w = np.empty(m)
-    w[0] = gamma
-    k = np.arange(1.0, m)
-    if m > 1:
-        w[1:] = gamma * np.cumprod((k - gamma) / (k + 1.0))
-    return w
 
 
 def _walk_rate(p) -> float:

@@ -101,6 +101,16 @@ def sibuya_survival(alpha: float, m) -> float:
     return math.exp(_lgamma_diff(m + 1.0, -a) - math.lgamma(1.0 - a))
 
 
+def _sibuya_weights(alpha: float, m: int) -> np.ndarray:
+    """w_1..w_m with w_k = sibuya_pmf(alpha, k), via the stable ratio recurrence."""
+    w = np.empty(m)
+    w[0] = alpha
+    k = np.arange(1.0, m)
+    if m > 1:
+        w[1:] = alpha * np.cumprod((k - alpha) / (k + 1.0))
+    return w
+
+
 def _hurwitz_zeta(s: float, q: int) -> float:
     """zeta(s, q) = sum_{k>=q} k^-s for s > 1 and an integer q >= 1.
 

@@ -621,10 +621,11 @@ def test_prelimit_crossover_regimes():
     assert np.all(np.diff(rep.ks_to_gaussian) < 0.0)
     assert np.all(np.diff(rep.predicted_sum_variance) < 0.0)
     # frozen run (seed 7): regression band wide enough to survive
-    # quadrature-level drift but not a seeding or scaling change
-    assert np.allclose(rep.ks_to_stable, [0.020732, 0.062988, 0.166612],
+    # quadrature-level drift but not a seeding or scaling change; re-frozen when
+    # Sibuya draws came from a guide table with a zeta-rejection tail
+    assert np.allclose(rep.ks_to_stable, [0.024301, 0.066299, 0.165584],
                        atol=2e-3)
-    assert np.allclose(rep.ks_to_gaussian, [0.322152, 0.215452, 0.107952],
+    assert np.allclose(rep.ks_to_gaussian, [0.325520, 0.215228, 0.107100],
                        atol=2e-3)
     assert rep.reps == 10_000 and rep.seed == 7
 

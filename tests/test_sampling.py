@@ -34,7 +34,7 @@ from dstable.sampling import (
     sample_tempered_sibuya,
     sample_zeta,
 )
-from dstable.special import riemann_zeta, sibuya_pmf
+from dstable.special import _sibuya_weights, riemann_zeta, sibuya_pmf, sibuya_survival
 
 # survival(1/2, 10) = C(20,10)/4^10, exactly representable
 SIBUYA_HALF_SURV_10 = 184756 / 1048576
@@ -43,6 +43,17 @@ TEMPERED_P1_LN2 = (2.0 + math.sqrt(2.0)) / 4.0
 # acceptance rate of the tempering rejection at the same parameters: 2-sqrt 2
 TEMPERED_ACCEPT_LN2 = 2.0 - math.sqrt(2.0)
 ZETA2_INV = 0.60792710185402662866
+# log(r(k) / r(inf)) = lgamma(k - alpha) - lgamma(k + 1) + (1 + alpha) log k, the log of the
+# Sibuya tail's acceptance scale, from mpmath at 100 digits
+SIBUYA_LOG_R_K = (4097, 10**6, 2**40, 10**15, 2**62)
+SIBUYA_LOG_R = {
+    0.05: (6.407413876899766e-06, 2.6250004812500233e-08, 2.3874235921543348e-14,
+           2.6250000000000007e-17, 5.692061405548899e-21),
+    0.5: (9.153783571447257e-05, 3.750001250000469e-07, 3.410605131649515e-13,
+          3.7500000000000013e-16, 8.131516293641283e-20),
+    0.95: (0.00022610673396843505, 9.262504476877859e-07, 8.424194675175451e-13,
+           9.262500000000004e-16, 2.0084845245293968e-19),
+}
 
 # (family, inversion size) pairs used for sampler-vs-pmf agreement;
 # windows chosen so out-of-window mass is far below the TV resolution
@@ -198,8 +209,8 @@ class TestSibuya:
         assert isinstance(sample_sibuya(0.3, RngState(2)), int)
 
     def test_tiny_alpha_raises_without_warning(self):
-        # Beta(0.001, 0.999) underflows to W = 0 for about half the draws,
-        # which would be an infinite geometric draw
+        # at alpha = 0.001, 99% of the draws pass the table to the zeta tail, and 96% of
+        # the mass lies at 2^62 or beyond, where the zeta proposals raise
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PrecisionError, match="2\\^62"):
@@ -209,6 +220,36 @@ class TestSibuya:
     def test_bad_alpha(self, alpha):
         with pytest.raises(DomainError):
             sample_sibuya(alpha, RngState(0))
+
+    # the table holds k <= 4096; the draws beyond come from the zeta tail
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.95])
+    def test_tail_frequencies(self, alpha):
+        k = sample_sibuya(alpha, RngState(45), size=2_000_000)
+        for m in (4096, 40_000):
+            want = sibuya_survival(alpha, m)
+            sd = math.sqrt(want * (1.0 - want) / k.size)
+            assert abs(np.mean(k > m) - want) < 4.0 * sd, f"m={m}"
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_tail_acceptance_scale_falls(self, alpha):
+        # r(k) = sibuya_pmf(alpha, k) k^{1+alpha} is non-increasing, so the tail's
+        # acceptance r(k) / r(4097) is at most 1: over the table's range from its masses,
+        # beyond it from _sibuya_log_r at every k to 2^20 and at powers of 2 to 2^62
+        k = np.arange(1.0, 4098.0)
+        assert np.all(np.diff(_sibuya_weights(alpha, 4097) * k ** (1.0 + alpha)) < 0.0)
+        for k in (np.arange(4097.0, 2.0**20 + 1.0), 2.0 ** np.arange(13, 63)):
+            log_r = sampling._sibuya_log_r(alpha, k)
+            assert np.all(np.diff(log_r) < 0.0) and np.all(log_r > 0.0)
+
+    @pytest.mark.parametrize("alpha", list(SIBUYA_LOG_R))
+    def test_tail_log_ratio_mpmath(self, alpha):
+        got = sampling._sibuya_log_r(alpha, np.array(SIBUYA_LOG_R_K, dtype=float))
+        np.testing.assert_allclose(got, SIBUYA_LOG_R[alpha], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_table_masses_sum_to_one(self, alpha):
+        head = math.fsum(_sibuya_weights(alpha, 4096))
+        assert abs(head + sibuya_survival(alpha, 4096) - 1.0) < 1e-12
 
 
 class TestTemperedSibuya:
@@ -236,7 +277,15 @@ class TestTemperedSibuya:
         k = sample_tempered_sibuya(0.5, 50.0, RngState(53), size=2000)
         assert np.all(k == 1)
 
-    @pytest.mark.parametrize("theta", [0.0, -0.5, math.nan])
+    def test_huge_finite_theta_pins_to_one_without_warning(self):
+        # theta (K - 1) overflows to inf for K > 1, which rejects K
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = sample_tempered_sibuya(0.5, 1e308, RngState(54), size=2000)
+        assert np.all(k == 1)
+
+    # at theta = inf, -theta (K - 1) is NaN at K = 1 and nothing would ever be accepted
+    @pytest.mark.parametrize("theta", [0.0, -0.5, math.nan, math.inf])
     def test_bad_theta(self, theta):
         with pytest.raises(DomainError):
             sample_tempered_sibuya(0.5, theta, RngState(0))
@@ -595,13 +644,11 @@ class TestSampleFamily:
         b = sample_family(p, RngState(123), size=70_000, threads=2)
         assert a.tobytes() == b.tobytes()
 
-    # sha256 of 100k draws as little-endian float64, frozen when streams were
-    # keyed by SeedSequence and a table jump became one signed lookup; the mean
-    # lattice KS to each PMF over 20 seeds agreed with the streams before.
-    # TemperedDS was frozen again when each side came to be drawn on its own,
-    # and PolylogDS when its zeta jumps came from the exact rejection sampler, and
-    # again when they came from a head table with a zeta tail, each with the same
-    # 20-seed check
+    # sha256 of 100k draws as little-endian float64, the pin on each exact stream; a
+    # digest is re-frozen only when its stream moves on purpose, with the law check of
+    # tests/test_laws.py (test_mean_lattice_ks_to_inverted_pmf) passing on the new
+    # stream. TemperedDS was last re-frozen when Sibuya draws came from a guide table
+    # with a zeta-rejection tail
     FROZEN_FAMILIES = {
         "TruncatedSDS": TruncatedSDS(0.4, 1.0, 1.0, 8),
         "TemperedDS": TemperedDS(0.7, 0.3, 1.0, 0.5, 0.05, 0.2),
@@ -611,8 +658,8 @@ class TestSampleFamily:
     FROZEN_DRAWS = {
         ("TruncatedSDS", 7): "50d5aed3a425b44e4935dd2fc43b67b1022d285011e6a0fac6d4bf3ba5b2a611",
         ("TruncatedSDS", 2024): "bf4af6d5e0eab8e1b21016b632f45222a977576574ab9b6045b9b700bfb0270d",
-        ("TemperedDS", 7): "5490b0b614afe16bd78a46472f5c56de9f5e1544ec05fc367fe953f067e7f7b1",
-        ("TemperedDS", 2024): "1e1f97fac5362a0c8e61cd2c8eaa083d598a4aee1a0ec6a7fcbfce6c48f4ee08",
+        ("TemperedDS", 7): "8720b0bf0cee759bd1373cae9063c6ff8d06b151008e01ae016d8af37053205e",
+        ("TemperedDS", 2024): "f04c98d44e612edde2618d08d4d0ff1986c11ae0e79dd8e5e97d6ad78afdd368",
         ("PolylogDS", 7): "15e4995d971e7e2372fb3c112ec8cc6366ff1b37e58c6872afd03b2f59579c25",
         ("PolylogDS", 2024): "be10263a866896507c0e88009375f41ae7c1cdcb587f36ea2fe370cb2762bc59",
         ("TruncatedPolylogDS", 7):
