@@ -145,9 +145,6 @@ class CompoundPoissonView:
 # shared numerics
 # ---------------------------------------------------------------------------
 
-_ZETA_HEAD = 4096  # PolylogDS draws jumps up to this size from a table, larger from sample_zeta
-
-
 def _walk_rate(p) -> float:
     """lambda = sigma^{2 gamma} 2^gamma / a^{2 gamma} of the symmetric-walk pair."""
     return p.sigma ** (2 * p.gamma) * 2.0**p.gamma / p.a ** (2 * p.gamma)
@@ -193,7 +190,7 @@ class _FiniteLevy(FamilyParams):
     """A finite Levy measure: mass right w[k] at +k and left w[k] at -k, k = 1..m.
 
     Subclasses supply `_table` = (right, left, w), w[k] for k = 0..m, as a cached_property,
-    built once per object, as is `_jump_search`, the search table of the signed jumps -m..m."""
+    built once per object, as is `_jump_search`, the search table of the jumps -m..m."""
 
     @cached_property
     def _jump_search(self):
@@ -215,7 +212,6 @@ class _FiniteLevy(FamilyParams):
 
     def _jumps(self, rng, count: int) -> np.ndarray:
         steps = sampling._from_table(self._jump_search, rng.generator, count)
-        steps -= self._table[2].size - 1  # entry j of the table is the jump j - (w.size - 1)
         if max(steps.max(initial=0), -steps.min(initial=0)) > self.m:  # never, by construction
             raise PrecisionError(f"{type(self).__name__} jump past its support a*m, m = {self.m}")
         return steps
@@ -406,7 +402,7 @@ class PolylogDS(FamilyParams):
     __post_init__ = _validate_polylog
 
     def _intensities(self):
-        z = riemann_zeta(1.0 + self.alpha) * self.a**-self.alpha
+        z = riemann_zeta(sampling._zeta_index(self.alpha)) * self.a**-self.alpha
         return self.p * z, self.q * z
 
     def _levy_weight(self, k: int) -> float:
@@ -424,16 +420,12 @@ class PolylogDS(FamilyParams):
 
     @cached_property
     def _jump_search(self):
-        s, k = 1.0 + self.alpha, np.arange(1.0, _ZETA_HEAD + 1.0)
-        tail = _hurwitz_zeta(s, _ZETA_HEAD + 1)  # the mass beyond K = _ZETA_HEAD, at +-(K + 1)
-        return sampling._search_table(self.p, self.q, np.r_[0.0, k**-s, tail])
+        s, head = 1.0 + self.alpha, sampling._HEAD
+        return sampling._head_tail_table(self.p, self.q, np.arange(1.0, head + 1.0) ** -s,
+                                         _hurwitz_zeta(s, head + 1))
 
     def _jumps(self, rng, count: int) -> np.ndarray:
-        steps = sampling._from_table(self._jump_search, rng.generator, count) - _ZETA_HEAD - 1
-        far = np.flatnonzero((steps == _ZETA_HEAD + 1) | (steps == -_ZETA_HEAD - 1))
-        tail = sampling.sample_zeta(1.0 + self.alpha, rng, far.size, start=_ZETA_HEAD + 1)
-        steps[far] = np.where(steps[far] > 0, tail, -tail)
-        return steps
+        return sampling._head_tail_jumps(self._jump_search, 1.0 + self.alpha, rng, count)
 
 
 @dataclass(frozen=True)

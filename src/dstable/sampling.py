@@ -1,12 +1,12 @@
 """Exact samplers for the lattice families and their jump laws.
 
-This module holds the generic samplers (Poisson through numpy's Generator, Sibuya from a
-guide table with a zeta-rejection tail, tempered Sibuya and zeta by exact rejection), the
-guide-table search of signed jump tables, the compound-Poisson sum, and the Poisson mixtures
-over a positive stable rate, whose cost does not depend on Lambda; each family class in
-`families` draws from them, so no family is named here. Draws are int64 lattice steps: a
-jump, count or draw of 2^62 or more, or a Poisson rate above numpy's range, raises
-PrecisionError rather than wrap.
+This module holds the generic samplers (Poisson through numpy's Generator, tempered Sibuya
+and zeta by exact rejection), the guide-table search of jump tables, one head-table sampler
+with a zeta-rejection tail for every unbounded jump law, the compound-Poisson sum, and the
+Poisson mixtures over a positive stable rate, whose cost does not depend on Lambda; each
+family class in `families` draws from them, so no family is named here. Draws are int64
+lattice steps: a jump, count or draw of 2^62 or more, or a Poisson rate above numpy's range,
+raises PrecisionError rather than wrap.
 
 Everything is driven by RngState, a splittable deterministic stream: the same
 seed and call sequence produce the same draws on every platform, and batch
@@ -16,9 +16,9 @@ of how many threads consume the batches.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -41,8 +41,8 @@ _BATCH = 1 << 16
 _INT_LIMIT = 1 << 62
 # the largest rate numpy's Generator.poisson accepts
 _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-# Sibuya draws up to this size come from a table, larger ones by rejection (PolylogDS's head)
-_SIBUYA_HEAD = 4096
+# unbounded jumps up to this size come from a table, larger ones by zeta rejection
+_HEAD = 4096
 
 
 class RngState:
@@ -107,34 +107,33 @@ def sample_poisson(rate: float, rng: RngState, size=None):
 
 
 def sample_sibuya(alpha: float, rng: RngState, size=None):
-    """K >= 1 with P(K = k) = sibuya_pmf(alpha, k), from a guide table with an exact tail.
-
-    One uniform searches (_from_table) a table of the masses at k = 1..4096 (_SIBUYA_HEAD)
-    and of P(K > 4096) in one tail bucket; the table is built on the first draw at each alpha
-    and cached. A draw in the bucket comes from _sibuya_tail, by rejection from zeta
-    proposals. A draw of 2^62 or more raises PrecisionError, with at most 1 + alpha (1 +
-    alpha) / 8192 times the law's own chance (see _sibuya_tail). That chance is large at
-    small alpha: 1.3% of the mass lies at 2^62 or beyond at alpha = 0.1, and 96% at 0.001.
-    """
+    """K >= 1 with P(K = k) = sibuya_pmf(alpha, k), by _head_tail_jumps from a table built on
+    the first draw at each alpha and cached. A draw of 2^62 or more raises PrecisionError, with
+    at most 1 + alpha (1 + alpha) / 8192 times the law's own chance, which is large at small
+    alpha: 1.3% at alpha = 0.1, and 96% at 0.001. So does an alpha where 1 + alpha rounds to 1."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
+    s = _zeta_index(alpha)
     n = 1 if size is None else _check_index(size, "size")
-    k = _from_table(_sibuya_table(float(alpha)), rng.generator, n) - _SIBUYA_HEAD - 1
-    far = np.flatnonzero(k > _SIBUYA_HEAD)
-    k[far] = _sibuya_tail(alpha, rng, far.size)
+    k = _head_tail_jumps(_sibuya_table(float(alpha)), s, rng, n, partial(_sibuya_log_r, alpha))
     return int(k[0]) if size is None else k
 
 
-@functools.lru_cache(maxsize=8)
+def _zeta_index(alpha: float) -> float:
+    """s = 1 + alpha; PrecisionError if it rounds to 1."""
+    if 1.0 + alpha == 1.0:
+        raise PrecisionError(f"alpha = {alpha!r} is too small: 1 + alpha rounds to 1 in float64")
+    return 1.0 + alpha
+
+
+@lru_cache(maxsize=8)
 def _sibuya_table(alpha: float):
-    """_search_table of sibuya_pmf(alpha, k) at k = 1.._SIBUYA_HEAD and sibuya_survival(alpha,
-    _SIBUYA_HEAD) at _SIBUYA_HEAD + 1, no mass on the left: entry j is k = j - _SIBUYA_HEAD - 1."""
-    w = _sibuya_weights(alpha, _SIBUYA_HEAD)
-    return _search_table(1.0, 0.0, np.r_[0.0, w, sibuya_survival(alpha, _SIBUYA_HEAD)])
+    """The _head_tail_table of sibuya_pmf(alpha, k), all on the right."""
+    return _head_tail_table(1.0, 0.0, _sibuya_weights(alpha, _HEAD), sibuya_survival(alpha, _HEAD))
 
 
 def _sibuya_log_r(alpha: float, k: np.ndarray) -> np.ndarray:
-    """log(r(k) / r(inf)), about alpha (1 + alpha) / (2k), at float k > _SIBUYA_HEAD, where r(k) =
+    """log(r(k) / r(inf)), about alpha (1 + alpha) / (2k), at float k > _HEAD, where r(k) =
     sibuya_pmf(alpha, k) k^{1+alpha} and r(inf) = alpha / Gamma(1 - alpha).
 
     It is lgamma(k - alpha) - lgamma(k + 1) + (1 + alpha) log k, by special._lgamma_diff's
@@ -147,28 +146,6 @@ def _sibuya_log_r(alpha: float, k: np.ndarray) -> np.ndarray:
     series = x * np.polyval([1 / 7, 1 / 6, 1 / 5, 1 / 4, 1 / 3, 1 / 2], x)
     return (-(1.0 + alpha) * (np.log1p(1.0 / k) + series) - (alpha + 1.5) * np.log1p(-x)
             + _stirling_tail(k - alpha) - _stirling_tail(k + 1.0))
-
-
-def _sibuya_tail(alpha: float, rng: RngState, n: int) -> np.ndarray:
-    """n Sibuya draws conditioned on K > _SIBUYA_HEAD = K0, by rejection from zeta proposals.
-
-    sample_zeta(1 + alpha, start=K0 + 1) proposes k with chance proportional to k^{-1-alpha}, and
-    k is kept with chance r(k) / r(K0 + 1), r(k) = sibuya_pmf(alpha, k) k^{1+alpha}. That is at
-    most 1, as r falls in k: r(k+1) / r(k) = (1 - alpha/k)(1 + 1/k)^alpha <= (1 - alpha/k)(1 +
-    alpha/k) < 1, by Bernoulli's inequality (1 + x)^alpha <= 1 + alpha x for 0 < alpha < 1. r
-    tends to alpha / Gamma(1 - alpha), so at least r(inf) / r(K0 + 1), about 1 - alpha (1 + alpha)
-    / (2 K0) > 0.9997, of the proposals are kept. A proposal of 2^62 or more raises in
-    sample_zeta before it can be rejected, so a tail draw raises with at most r(K0 + 1) /
-    r(inf) times the law's own chance: 1.00015 times at alpha = 0.7.
-    """
-    gen, out, done = rng.generator, np.empty(n, dtype=np.int64), 0
-    top = _sibuya_log_r(alpha, _SIBUYA_HEAD + 1.0)
-    while done < n:
-        k = sample_zeta(1.0 + alpha, rng, n - done, start=_SIBUYA_HEAD + 1)
-        keep = k[gen.random(k.size) <= np.exp(_sibuya_log_r(alpha, k) - top)]
-        out[done:done + keep.size] = keep
-        done += keep.size
-    return out
 
 
 def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None):
@@ -221,21 +198,24 @@ def sample_zeta(s: float, rng: RngState, size=None, start: int = 1):
 # ---------------------------------------------------------------------------
 
 def _search_table(right: float, left: float, w: np.ndarray):
-    """(cdf, guide) for _from_table over the jumps -n..n, n = w.size - 1, entry j being the jump
-    j - n: cdf their normalised cumulative masses left w[n..1], (left + right) w[0], right w[1..n],
+    """(cdf, guide, first) for _from_table over the jumps -n..n, n = w.size - 1, entry j being
+    the jump first + j: cdf the normalised cumulative masses left w[n..1], (left + right) w[0],
+    right w[1..n], less a side of intensity 0 (exact zeros or totals, which no uniform picks),
     and guide[g] the first j with cdf[j] > g / G, G the least power of two >= 4 len(cdf)."""
-    cdf = np.cumsum(np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]])
+    n = w.size - 1
+    lo, hi = n if left == 0.0 else 0, n + 1 if right == 0.0 else 2 * n + 1
+    cdf = np.cumsum(np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]][lo:hi])
     cdf /= cdf[-1]
     cells = 1 << (4 * cdf.size - 1).bit_length()
-    return cdf, np.searchsorted(cdf, np.arange(cells) / cells, side="right")
+    return cdf, np.searchsorted(cdf, np.arange(cells) / cells, side="right"), lo - n
 
 
 def _from_table(table, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Indices j with P(j <= i) = cdf[i], (cdf, guide) = table: for each uniform u exactly
-    np.searchsorted(cdf, u, side="right"), by indexed search (Chen and Asau 1974): guide[floor(u G)]
-    (exact, as G is a power of two), unless cdf there is <= u, which sends about 1% of the draws
-    on to searchsorted. Blocks of _BATCH draws keep the arrays small."""
-    cdf, guide = table
+    """Jumps first + j with P(j <= i) = cdf[i], (cdf, guide, first) = table: for each uniform u,
+    j is exactly np.searchsorted(cdf, u, side="right"), by indexed search (Chen and Asau 1974):
+    guide[floor(u G)] (exact, as G is a power of two), unless cdf there is <= u, which sends
+    about 1% of the draws on to searchsorted. Blocks of _BATCH draws keep the arrays small."""
+    cdf, guide, first = table
     out = np.empty(count, dtype=np.int64)
     for lo in range(0, count, _BATCH):
         u = gen.random(min(count - lo, _BATCH))
@@ -243,7 +223,35 @@ def _from_table(table, gen: np.random.Generator, count: int) -> np.ndarray:
         np.take(guide, (u * guide.size).astype(np.intp), out=j)
         slow = np.flatnonzero(cdf[j] <= u)
         j[slow] = np.searchsorted(cdf, u[slow], side="right")
+        j += first
     return out
+
+
+def _head_tail_table(right: float, left: float, head_w: np.ndarray, tail_mass: float):
+    """The _search_table of head_w at k = 1.._HEAD and tail_mass in a bucket at _HEAD + 1."""
+    return _search_table(right, left, np.r_[0.0, head_w, tail_mass])
+
+
+def _head_tail_jumps(table, s: float, rng: RngState, count: int, log_r=None) -> np.ndarray:
+    """count jumps from a _head_tail_table of a law proportional to r(k) k^{-s} beyond _HEAD, r
+    falling: a bucket draw, at +-(_HEAD + 1), keeps its sign and takes a sample_zeta(s, start =
+    _HEAD + 1) proposal, kept with chance r(k) / r(_HEAD + 1), r = exp(log_r) (or 1, drawing no
+    uniforms, if log_r is None). Sibuya's r(k) = sibuya_pmf(alpha, k) k^{1+alpha} falls, as
+    r(k+1) / r(k) = (1 - alpha/k)(1 + 1/k)^alpha <= (1 - alpha/k)(1 + alpha/k) < 1 (Bernoulli's
+    inequality), to alpha / Gamma(1 - alpha), so over 1 - alpha (1 + alpha) / 8192 of the
+    proposals are kept. A proposal of 2^62 or more raises in sample_zeta before it can be
+    rejected, so a draw raises with at most 1 + alpha (1 + alpha) / 8192 times the law's own
+    chance, r(_HEAD + 1) / r(inf)."""
+    k = _from_table(table, rng.generator, count)
+    far = np.flatnonzero((k > _HEAD) | (k < -_HEAD))  # no |k| temporary over every jump
+    tail = np.empty(0, dtype=np.int64)
+    while tail.size < far.size:
+        z = sample_zeta(s, rng, far.size - tail.size, start=_HEAD + 1)
+        if log_r is not None:
+            z = z[rng.generator.random(z.size) <= np.exp(log_r(z) - log_r(_HEAD + 1.0))]
+        tail = np.r_[tail, z]
+    k[far] = np.where(k[far] > 0, tail, -tail)
+    return k
 
 
 def _compound_poisson(rate: float, draw_jumps, rng: RngState, n: int) -> np.ndarray:

@@ -222,6 +222,13 @@ def test_overflowing_intensity_is_precision_failure(capsys, command, family):
     assert rc == 3 and "overflows float64" in err and out == ""
 
 
+def test_polylog_alpha_below_float_resolution_is_precision_failure(capsys):
+    # 1 + alpha rounds to 1: a precision failure that names alpha, not an invalid request
+    rc, out, err = _run(capsys, ["cf", "polylog-ds", "--alpha", "1e-17", "--P", "1", "--Q", "0",
+                                 "--a", "1"])
+    assert rc == 3 and "alpha = 1e-17" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------
@@ -329,7 +336,8 @@ _ANY_SCIPY = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
 
 
 # neither importing the package and its CLI nor these calls load any scipy module: the
-# PolylogDS CF, through its polylog series, and the stable CDF
+# PolylogDS CF, through its polylog series, and the stable CDF; nor do they build a cached
+# Sibuya jump table, which is built on the first draw only
 @pytest.mark.parametrize("call, expected", [
     ("char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)",
      lambda: char_fn(PolylogDS(0.8, 1.0, 0.5, 0.1), 1.0)),
@@ -340,12 +348,13 @@ def test_scipy_imported_on_first_use(call, expected):
     out = _child_stdout(
         "import sys\n"
         "import dstable, dstable.cli\n"
+        "from dstable import sampling\n"
         "from dstable.analysis import stable_cdf\n"
         "from dstable.families import PolylogDS, StableParams, char_fn\n"
         f"value = {call}\n"
-        f"print({_ANY_SCIPY}, repr(value))\n"
+        f"print({_ANY_SCIPY}, repr(value), sampling._sibuya_table.cache_info().currsize)\n"
     )
-    assert out.split() == ["False", repr(expected())]
+    assert out.split() == ["False", repr(expected()), "0"]
 
 
 _POLYLOG_FLAGS = ["--alpha", "0.8", "--P", "1", "--Q", "0.5", "--a", "0.1"]

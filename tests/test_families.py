@@ -302,6 +302,16 @@ def test_overflowing_intensity_is_precision_error(p):
             call()
 
 
+def test_polylog_alpha_below_float_resolution():
+    # 1 + alpha rounds to 1: a PrecisionError naming alpha from every dispatcher, not a
+    # DomainError about riemann_zeta's s; at alpha = 2^-52 the CF is still computed
+    p = PolylogDS(1e-17, 1.0, 0.0, 1.0)
+    for call in (lambda: char_fn(p, 1.0), lambda: sample_family(p, RngState(0), 3)):
+        with pytest.raises(PrecisionError, match="alpha = 1e-17"):
+            call()
+    assert char_fn(PolylogDS(2.0**-52, 1.0, 0.0, 1.0), np.array([0.0, 1.0])).tolist() == [1, 0]
+
+
 # ---------------------------------------------------------------------------
 # frozen intensities and special parameter points
 # ---------------------------------------------------------------------------

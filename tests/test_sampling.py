@@ -221,6 +221,15 @@ class TestSibuya:
         with pytest.raises(DomainError):
             sample_sibuya(alpha, RngState(0))
 
+    def test_alpha_below_float_resolution(self):
+        # where 1 + alpha rounds to 1 (alpha below about 1.1e-16) the error names alpha,
+        # not the zeta index s = 1 + alpha the caller never passed; at alpha = 2^-52,
+        # 1 + alpha > 1 and the zeta tail reaches 2^62, as at any tiny alpha
+        with pytest.raises(PrecisionError, match="alpha = 1e-17"):
+            sample_sibuya(1e-17, RngState(0), 3)
+        with pytest.raises(PrecisionError, match="2\\^62"):
+            sample_sibuya(2.0**-52, RngState(0), 3)
+
     # the table holds k <= 4096; the draws beyond come from the zeta tail
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.95])
     def test_tail_frequencies(self, alpha):
@@ -393,16 +402,17 @@ class _Uniforms:
 
 class TestTableSearch:
     # sampling._from_table must find exactly the index np.searchsorted finds, through the
-    # guide table or past it; u = 1 - 2^-53 is the largest uniform numpy draws
+    # guide table or past it, and return it plus the table's first jump; u = 1 - 2^-53 is
+    # the largest uniform numpy draws
     TOP = 1.0 - 2.0**-53
 
     @staticmethod
     def _same_as_searchsorted(table, u):
-        cdf, guide = table
+        cdf, guide, first = table
         u = np.asarray(u, dtype=float)
         got = sampling._from_table(table, _Uniforms(u), u.size)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right") + first)
         # the guide: G a power of two >= 4 len(cdf), guide[g] the first j with cdf[j] > g / G
         cells = guide.size
         assert cells & (cells - 1) == 0 and cells >= 4 * cdf.size
@@ -412,7 +422,7 @@ class TestTableSearch:
     @classmethod
     def _edge_uniforms(cls, table, rng):
         """Uniforms on and next to every cdf value and cell edge, plus random ones."""
-        cdf, guide = table
+        cdf, guide, _ = table
         marks = np.r_[cdf, np.arange(guide.size) / guide.size]
         marks = marks[marks < 1.0]
         u = np.r_[0.0, cls.TOP, marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
@@ -429,7 +439,7 @@ class TestTableSearch:
         table = sampling._search_table(1.0, 0.0, w)
         got = self._same_as_searchsorted(table, self._edge_uniforms(table, RngState(1)))
         masses = np.diff(np.r_[0.0, table[0]])
-        assert np.all(masses[got] > 0.0)
+        assert np.all(masses[got - table[2]] > 0.0)
 
     def test_truncated_sds_table_with_tiny_tails(self):
         # m = 4096: thousands of masses far below 1 / G share the last cells
@@ -440,22 +450,30 @@ class TestTableSearch:
 
     def test_blocks_and_generator_stream(self):
         # more than one block of uniforms: the same indices as one searchsorted over one call
-        table = PolylogDS(0.8, 1.0, 0.5, 0.1)._jump_search
+        cdf, _, first = table = PolylogDS(0.8, 1.0, 0.5, 0.1)._jump_search
         n = (1 << 16) * 2 + 7
         got = sampling._from_table(table, RngState(3).generator, n)
-        want = np.searchsorted(table[0], RngState(3).generator.random(n), side="right")
+        want = np.searchsorted(cdf, RngState(3).generator.random(n), side="right") + first
         assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(w=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1, max_size=40),
-           right=st.floats(0.0, 10.0), left=st.floats(0.0, 10.0), seed=st.integers(0, 2**32))
+           right=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           left=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), seed=st.integers(0, 2**32))
     def test_random_tables(self, w, right, left, seed):
-        w = np.array(w)
+        w, n = np.array(w), len(w) - 1
         masses = np.r_[left * w[:0:-1], (left + right) * w[0], right * w[1:]]
         if not masses.sum() > 0.0:
             return
         table = sampling._search_table(right, left, w)
-        self._same_as_searchsorted(table, self._edge_uniforms(table, RngState(seed)))
+        # a side of intensity 0 adds no entries, and leaving it out moves no draw: the jumps
+        # are the two-sided table's searchsorted indices less n
+        assert len(table[0]) == (n + 1 if 0.0 in (right, left) else 2 * n + 1)
+        u = self._edge_uniforms(table, RngState(seed))
+        got = self._same_as_searchsorted(table, u)
+        two_sided = np.cumsum(masses)
+        two_sided /= two_sided[-1]
+        assert np.array_equal(got, np.searchsorted(two_sided, u, side="right") - n)
 
 
 # ---------------------------------------------------------------------------
