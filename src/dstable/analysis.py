@@ -22,7 +22,7 @@ from .families import (
 from .inversion import LatticePMF, _HalfGridMemo, pmf_from_cf, tail_prob
 from .quadrature import tanh_sinh
 from .sampling import RngState, sample_family
-from .special import _check_index
+from .special import _check_index, _points, _scalar, _shaped
 
 __all__ = [
     "TailReport",
@@ -190,8 +190,7 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
     decade up to the largest reliable x — the largest threshold whose tail
     value the window resolves with fold-in contamination below alias_tol.
     """
-    if not 0.0 < alias_tol < 1.0:
-        raise DomainError(f"alias_tol must be in (0, 1), got {alias_tol!r}")
+    _scalar(alias_tol, "alias_tol", lambda v: 0.0 < v < 1.0, "be in (0, 1)")
     n_max = _check_index(n_max, "n_max", 8)
     if x_grid is None:
         if n_max & (n_max - 1):
@@ -208,11 +207,11 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
             )
         x = np.linspace(x_rel / 10.0, x_rel, 25)
     else:
-        x = np.asarray(x_grid, dtype=float)
-        if x.ndim != 1 or x.size < 2:
+        x, shape = _points(x_grid, "x_grid", lambda v: v > 0.0, "be > 0")  # NaN fails too
+        if shape is None or len(shape) != 1 or x.size < 2:
             raise DomainError("x_grid must be 1-d with at least 2 points")
-        if not (np.all(np.diff(x) > 0.0) and x[0] > 0.0):  # NaN fails too
-            raise DomainError("x_grid must be strictly increasing and positive")
+        if not np.all(np.diff(x) > 0.0):
+            raise DomainError("x_grid must be strictly increasing")
         pmf = _pmf_covering(p, float(x[-1]), alias_tol, n_max)
     tails = tail_prob(pmf, x)
     exponent = _decay_exponent(x, tails)
@@ -236,8 +235,7 @@ def tail_check(p: FamilyParams, x_grid=None, alias_tol: float = 1e-8,
 
 def cf_distance(p: FamilyParams, t_max: float, points: int = 2001) -> float:
     """sup_t |char_fn(p, t) - stable_cf(target, t)| over t in [-t_max, t_max]."""
-    if not 0.0 < t_max < math.inf:
-        raise DomainError(f"t_max must be finite and > 0, got {t_max!r}")
+    _scalar(t_max, "t_max", lambda v: 0.0 < v < math.inf, "be finite and > 0")
     points = _check_index(points, "points", 2)
     target = target_stable(p)
     if target.stable is None:
@@ -331,21 +329,19 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
     Absolute error <= tol; output is forced monotone in x, and is 0 and 1 at
     x = -inf and +inf; NaN raises. Scalar x gives a float, an array an array.
     """
-    if not 1e-8 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 1e-8, got {tol!r}")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xs = np.atleast_1d(x_arr).astype(float).ravel()
-    if np.isnan(xs).any():
-        raise DomainError("x must not be NaN")
-
+    _scalar(tol, "tol", lambda v: 1e-8 <= v < math.inf, "be finite and >= 1e-8")
+    xs, shape = _points(x, "x", lambda v: ~np.isnan(v), "not be NaN")
     if s.alpha == 2.0 and s.beta == 0.0:
         out = _normal_cdf(xs / (s.sigma * math.sqrt(2.0)))
-        return float(out[0]) if scalar else out.reshape(x_arr.shape)
-    if s.alpha == 1.0 and s.beta == 0.0:
+    elif s.alpha == 1.0 and s.beta == 0.0:
         out = 0.5 + np.arctan(xs / s.sigma) / math.pi
-        return float(out[0]) if scalar else out.reshape(x_arr.shape)
+    else:
+        out = _cdf_by_regions(s, xs, tol)
+    return _shaped(out, shape)
 
+
+def _cdf_by_regions(s: StableParams, xs: np.ndarray, tol: float) -> np.ndarray:
+    """stable_cdf at xs where no closed form holds: by the tail series, or Gil-Pelaez."""
     order = np.argsort(xs, kind="stable")
     sorted_x = xs[order]
     out_sorted = np.where(sorted_x > 0.0, 1.0, 0.0)  # the CDF at x = -inf and +inf
@@ -372,7 +368,7 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
     out_sorted = np.clip(out_sorted, 0.0, 1.0)
     out = np.empty_like(out_sorted)
     out[order] = out_sorted
-    return float(out[0]) if scalar else out.reshape(x_arr.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +377,9 @@ def stable_cdf(s: StableParams, x, tol: float = 1e-8):
 
 def _samples(samples, least: int) -> np.ndarray:
     """`samples` as a flat float array; DomainError below `least` values or on NaN."""
-    x = np.asarray(samples, dtype=float).ravel()
+    x, _ = _points(samples, "samples", lambda v: ~np.isnan(v), "not be NaN")
     if x.size < least:
         raise DomainError(f"need {least} or more samples, got {x.size}")
-    if np.isnan(x).any():
-        raise DomainError("samples must not be NaN")
     return x
 
 

@@ -24,8 +24,9 @@ from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
-from .special import (_finite_step, _hurwitz_zeta, _lgamma_diff, _reduce_angle, _sibuya_weights,
-                      polylog_unit, riemann_zeta, sibuya_pmf, sibuya_survival)
+from .special import (_check_index, _finite_step, _hurwitz_zeta, _lgamma_diff, _points,
+                      _reduce_angle, _scalar, _shaped, _sibuya_weights, polylog_unit, riemann_zeta,
+                      sibuya_pmf, sibuya_survival)
 
 __all__ = [
     "StableParams",
@@ -47,36 +48,22 @@ __all__ = [
 ]
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
 # ---------------------------------------------------------------------------
 # parameter rules
 # ---------------------------------------------------------------------------
 
-
-def _real(test: Callable[[float], bool]) -> Callable[[float], bool]:
-    return lambda v: math.isfinite(v) and test(v)
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-
-
 # field name -> (name in messages, test, rule as the message states it)
 _RULES = {
-    "gamma": ("gamma", _real(lambda v: 0.0 < v <= 1.0), "be in (0, 1]"),
-    "alpha": ("alpha", _real(lambda v: 0.0 < v < 1.0), "be in (0, 1)"),
-    "beta": ("beta", _real(lambda v: -1.0 <= v <= 1.0), "be in [-1, 1]"),
-    "sigma": ("sigma", _real(lambda v: v > 0.0), "be > 0"),
-    "a": ("a", _real(lambda v: v > 0.0), "be > 0"),
-    "theta1": ("theta1", _real(lambda v: v >= 0.0), "be >= 0"),
-    "theta2": ("theta2", _real(lambda v: v >= 0.0), "be >= 0"),
-    "p": ("P", _real(lambda v: v >= 0.0), "be >= 0"),
-    "q": ("Q", _real(lambda v: v >= 0.0), "be >= 0"),
-    "m": ("m", _is_count, "be an integer >= 1"),
+    "gamma": ("gamma", lambda v: 0.0 < v <= 1.0, "be in (0, 1]"),
+    "alpha": ("alpha", lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
+    "beta": ("beta", lambda v: -1.0 <= v <= 1.0, "be in [-1, 1]"),
+    "sigma": ("sigma", lambda v: 0.0 < v < math.inf, "be > 0"),
+    "a": ("a", lambda v: 0.0 < v < math.inf, "be > 0"),
+    "theta1": ("theta1", lambda v: 0.0 <= v < math.inf, "be >= 0"),
+    "theta2": ("theta2", lambda v: 0.0 <= v < math.inf, "be >= 0"),
+    "p": ("P", lambda v: 0.0 <= v < math.inf, "be >= 0"),
+    "q": ("Q", lambda v: 0.0 <= v < math.inf, "be >= 0"),
+    "m": ("m", None, None),  # the one integer field, read by _check_index
 }
 
 # rules on several fields, checked right after the field named as the key
@@ -92,15 +79,19 @@ def _validate(obj, **overrides) -> None:
     for f in fields(obj):
         label, ok, rule = overrides.get(f.name, _RULES[f.name])
         value = getattr(obj, f.name)
-        _require(ok(value), f"{label} must {rule}, got {value!r}")
+        if ok is None:
+            _check_index(value, label, 1)
+        else:
+            _scalar(value, label, ok, rule)
         if f.name in _JOINT_RULES:
             joint, msg = _JOINT_RULES[f.name]
-            _require(joint(obj), msg)
+            if not joint(obj):
+                raise DomainError(msg)
 
 
 def _validate_polylog(p) -> None:
     """_validate, with the polylog pair's alpha > 0 rule."""
-    _validate(p, alpha=("alpha", _real(lambda v: v > 0.0), "be > 0"))
+    _validate(p, alpha=("alpha", lambda v: 0.0 < v < math.inf, "be > 0"))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +108,7 @@ class StableParams:
     sigma: float
 
     def __post_init__(self):
-        _validate(self, alpha=("alpha", _real(lambda v: 0.0 < v <= 2.0), "be in (0, 2]"))
+        _validate(self, alpha=("alpha", lambda v: 0.0 < v <= 2.0, "be in (0, 2]"))
 
 
 @dataclass(frozen=True)
@@ -474,11 +465,8 @@ def derived_intensities(p: FamilyParams):
 
 def char_fn(p: FamilyParams, t) -> np.ndarray:
     """Exact characteristic function of the family at real, finite t (scalar or array)."""
-    t_arr = np.asarray(t, dtype=float)
-    _require(np.isfinite(t_arr).all(), "t must be finite")
-    scalar = t_arr.ndim == 0
-    g = np.exp(_family(p)._log_cf(np.atleast_1d(t_arr) * p.a))
-    return complex(g[0]) if scalar else g.reshape(t_arr.shape)
+    t, shape = _points(t, "t")
+    return _shaped(np.exp(_family(p)._log_cf(t * p.a)), shape)
 
 
 def stable_cf(s: StableParams, t) -> np.ndarray:
@@ -487,11 +475,8 @@ def stable_cf(s: StableParams, t) -> np.ndarray:
     At beta = 0: exp(-sigma^alpha |t|^alpha), alpha in (0, 2]. Otherwise the
     skewed strictly stable form, which requires alpha in (0, 1).
     """
-    t_arr = np.asarray(t, dtype=float)
-    _require(np.isfinite(t_arr).all(), "t must be finite")
-    scalar = t_arr.ndim == 0
-    tt = np.atleast_1d(t_arr)
-    mag = (s.sigma * np.abs(tt)) ** s.alpha
+    t, shape = _points(t, "t")
+    mag = (s.sigma * np.abs(t)) ** s.alpha
     if s.beta == 0.0:
         g = np.exp(-mag).astype(complex)
     else:
@@ -502,8 +487,8 @@ def stable_cf(s: StableParams, t) -> np.ndarray:
                 "skewed stable CF implemented for alpha in (0, 1) only"
             )
         skew = s.beta * math.tan(0.5 * math.pi * s.alpha)
-        g = np.exp(-mag * (1.0 - 1j * skew * np.sign(tt)))
-    return complex(g[0]) if scalar else g.reshape(t_arr.shape)
+        g = np.exp(-mag * (1.0 - 1j * skew * np.sign(t)))
+    return _shaped(g, shape)
 
 
 def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
@@ -514,9 +499,8 @@ def compound_poisson_view(p: FamilyParams) -> CompoundPoissonView:
     lam = _family(p)._total_intensity()
 
     def h(t):
-        t_arr = np.asarray(t, dtype=float)
-        _require(np.isfinite(t_arr).all(), "t must be finite")
-        return 1.0 + p._log_cf(p.a * t_arr) / lam
+        t, shape = _points(t, "t")
+        return _shaped(1.0 + p._log_cf(p.a * t) / lam, shape)
 
     return CompoundPoissonView(lam, h)
 
@@ -528,9 +512,7 @@ def levy_weight(p: FamilyParams, k) -> float:
     lambda b_|k| / 2 from the Chebyshev coefficients of its cosine series, computed in
     O(m^2) once per object.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    k = int(k)
+    k = _check_index(k, "k", None)
     if k == 0:
         raise DomainError("the Levy measure has no mass at 0")
     return _family(p)._levy_weight(k)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InversionError, PrecisionError
-from .special import _check_index
+from .special import _check_index, _points, _scalar, _shaped
 
 __all__ = ["LatticePMF", "pmf_from_cf", "pmf_auto", "tail_prob", "cdf_from_pmf"]
 
@@ -37,10 +37,9 @@ class LatticePMF:
     alias_bound: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError(f"lattice pitch a must be > 0, got {self.a!r}")
-        if self.alias_bound < 0.0:
-            raise DomainError("alias_bound must be >= 0")
+        _scalar(self.a, "lattice pitch a", lambda v: 0.0 < v < math.inf, "be > 0")
+        _check_index(self.k_min, "k_min", None)
+        _scalar(self.alias_bound, "alias_bound", lambda v: v >= 0.0, "be >= 0")
         m = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "masses", m)
         if m.ndim != 1 or m.size == 0:
@@ -67,9 +66,7 @@ class LatticePMF:
         return np.maximum(self.masses, 0.0)
 
     def mass_at(self, k: int) -> float:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise DomainError(f"k must be an integer, got {k!r}")
-        idx = int(k) - self.k_min
+        idx = _check_index(k, "k", None) - self.k_min
         if 0 <= idx < self.masses.size:
             return max(float(self.masses[idx]), 0.0)
         return 0.0
@@ -105,13 +102,10 @@ def pmf_from_cf(cf, a: float, n: int) -> LatticePMF:
     |cf(t_{n-j}) - conj cf(t_j)| exceeds 1e-10, or if a mass falls below
     -1e-12.
     """
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n = _check_index(n, "n", None)
     if n < 8 or (n & (n - 1)) != 0:
         raise DomainError(f"n must be a power of two >= 8, got {n}")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"lattice pitch a must be > 0, got {a!r}")
+    _scalar(a, "lattice pitch a", lambda v: 0.0 < v < math.inf, "be > 0")
 
     half = n // 2
     step = 2.0 * math.pi / (n * a)
@@ -171,8 +165,7 @@ def pmf_auto(cf, a: float, tol: float = 1e-6, n_max: int = 1 << 24) -> LatticePM
     each doubling adds; raises PrecisionError with a window-size hint if the
     bound is still above tol at n_max.
     """
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol must be in (0, 1), got {tol!r}")
+    _scalar(tol, "tol", lambda v: 0.0 < v < 1.0, "be in (0, 1)")
     n_max = _check_index(n_max, "n_max", 256)  # 256 is the first window
     memo = _HalfGridMemo(cf)
     n = 256
@@ -202,26 +195,20 @@ def tail_prob(pmf: LatticePMF, x):
     The points below -x and above x count, never 0 itself, so each side of 0 is summed
     in place from its far end inward, in one pass: a cumsum left of 0 and a reverse
     cumsum right of it. A zero at each end stands for the mass past it."""
-    x_arr = np.asarray(x, dtype=float)
-    bad = x_arr[~(x_arr >= 0.0)]  # NaN too
-    if bad.size:
-        raise DomainError(f"x must be >= 0, got {float(bad.flat[0])!r}")
+    x, shape = _points(x, "x", lambda v: v >= 0.0, "be >= 0")  # NaN fails too
     xv = pmf.x_values()
     cl = np.zeros(xv.size + 2)
     np.maximum(pmf.masses, 0.0, out=cl[1:-1])
     lo, hi = np.searchsorted(xv, 0.0), np.searchsorted(xv, 0.0, side="right")
     np.cumsum(cl[:lo + 1], out=cl[:lo + 1])  # cl[i], i <= lo: mass at xv[:i], all < 0
     np.cumsum(cl[:hi:-1], out=cl[:hi:-1])  # cl[i], i > hi: mass at xv[i - 1:], all > 0
-    out = cl[np.searchsorted(xv, x_arr, side="right") + 1] + cl[np.searchsorted(xv, -x_arr)]
-    return float(out) if x_arr.ndim == 0 else out
+    out = cl[np.searchsorted(xv, x, side="right") + 1] + cl[np.searchsorted(xv, -x)]
+    return _shaped(out, shape)
 
 
 def cdf_from_pmf(pmf: LatticePMF, x):
     """P(X <= x) under the clamped masses, right-continuous in x, for a scalar x (a float
     back) or an array of them (an array back)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.isnan(x_arr).any():
-        raise DomainError("x must not be NaN")
+    x, shape = _points(x, "x", lambda v: ~np.isnan(v), "not be NaN")
     cum = np.r_[0.0, np.cumsum(pmf.clamped())]  # cum[i]: the mass at the first i points
-    out = cum[np.searchsorted(pmf.x_values(), x_arr, side="right")]
-    return float(out) if x_arr.ndim == 0 else out
+    return _shaped(cum[np.searchsorted(pmf.x_values(), x, side="right")], shape)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import DomainError, PrecisionError
 
 # Node positions are kept as offsets from the nearer endpoint so that values such as
 # 1 - tanh(z) are not rounded away; beyond Z_MAX the offsets underflow usefulness.
@@ -46,7 +46,7 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
     that change never reaches ``tol``.
     """
     if not b > a:
-        raise ValueError("tanh_sinh needs b > a")
+        raise DomainError(f"tanh_sinh needs b > a, got a = {a!r}, b = {b!r}")
     half = 0.5 * (b - a)
 
     running = None  # sum of w * f over all nodes seen so far (no h factor)

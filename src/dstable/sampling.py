@@ -5,8 +5,9 @@ and zeta by exact rejection), the guide-table search of jump tables, one head-ta
 with a zeta-rejection tail for every unbounded jump law, the compound-Poisson sum, and the
 Poisson mixtures over a positive stable rate, whose cost does not depend on Lambda; each
 family class in `families` draws from them, so no family is named here. Draws are int64
-lattice steps: a jump, count or draw of 2^62 or more, or a Poisson rate above numpy's range,
-raises PrecisionError rather than wrap.
+lattice steps: a jump, a draw or a batch's jump count of 2^62 or more, or a Poisson rate above
+numpy's range, raises PrecisionError rather than wrap; sample_poisson itself returns counts up
+to numpy's range, about 9.2e18.
 
 Everything is driven by RngState, a splittable deterministic stream: the same
 seed and call sequence produce the same draws on every platform, and batch
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import families
 from .errors import DomainError, PrecisionError
-from .special import _check_index, _sibuya_weights, _stirling_tail, sibuya_survival
+from .special import _check_index, _scalar, _sibuya_weights, _stirling_tail, sibuya_survival
 
 __all__ = [
     "RngState",
@@ -37,7 +38,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 16
-# draws, and a draw's sum of jumps in lattice steps, must stay below 2^62
+# draws, a draw's sum of jumps in lattice steps and a batch's jump count must stay below 2^62
 _INT_LIMIT = 1 << 62
 # the largest rate numpy's Generator.poisson accepts
 _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -94,15 +95,11 @@ def sample_poisson(rate: float, rng: RngState, size=None):
     Rates above numpy's range, 2^63 - 1 - 10 sqrt(2^63 - 1) (about 9.2e18),
     raise PrecisionError.
     """
-    if not (isinstance(rate, (int, float, np.floating, np.integer))
-            and math.isfinite(rate)):
-        raise DomainError(f"rate must be finite, got {rate!r}")
-    if rate < 0.0:
-        raise DomainError(f"rate must be >= 0, got {rate!r}")
+    rate = _scalar(rate, "rate", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
     if rate > _POISSON_MAX:
         raise PrecisionError(f"Poisson rate {rate!r} exceeds the int64 range")
     n = 1 if size is None else _check_index(size, "size")
-    out = rng.generator.poisson(float(rate), n)
+    out = rng.generator.poisson(rate, n)
     return int(out[0]) if size is None else out
 
 
@@ -111,11 +108,10 @@ def sample_sibuya(alpha: float, rng: RngState, size=None):
     the first draw at each alpha and cached. A draw of 2^62 or more raises PrecisionError, with
     at most 1 + alpha (1 + alpha) / 8192 times the law's own chance, which is large at small
     alpha: 1.3% at alpha = 0.1, and 96% at 0.001. So does an alpha where 1 + alpha rounds to 1."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
+    alpha = _scalar(alpha, "alpha", lambda v: 0.0 < v < 1.0, "be in (0, 1)")
     s = _zeta_index(alpha)
     n = 1 if size is None else _check_index(size, "size")
-    k = _head_tail_jumps(_sibuya_table(float(alpha)), s, rng, n, partial(_sibuya_log_r, alpha))
+    k = _head_tail_jumps(_sibuya_table(alpha), s, rng, n, partial(_sibuya_log_r, alpha))
     return int(k[0]) if size is None else k
 
 
@@ -154,10 +150,8 @@ def sample_tempered_sibuya(alpha: float, theta: float, rng: RngState, size=None)
     Exact rejection: propose Sibuya(alpha), accept with probability
     e^{-theta (K-1)}; the acceptance rate is e^{theta}(1 - (1 - e^{-theta})^alpha).
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0.0 < theta < math.inf:
-        raise DomainError(f"theta must be finite and > 0, got {theta!r}")
+    _scalar(alpha, "alpha", lambda v: 0.0 < v < 1.0, "be in (0, 1)")
+    _scalar(theta, "theta", lambda v: 0.0 < v < math.inf, "be finite and > 0")
     n = 1 if size is None else _check_index(size, "size")
     gen, out, done = rng.generator, np.empty(n, dtype=np.int64), 0
     with np.errstate(over="ignore"):  # theta (K - 1) may overflow; e^{-inf} = 0 rejects K
@@ -176,8 +170,7 @@ def sample_zeta(s: float, rng: RngState, size=None, start: int = 1):
     log1p(1/k))) being k^{-s} over K's mass at k, in a form exact at s near 1. Draws above 2^53
     are rounded; one of 2^62 or more raises PrecisionError, with the law's own chance.
     """
-    if not s > 1.0:
-        raise DomainError(f"s must be > 1, got {s!r}")
+    _scalar(s, "s", lambda v: v > 1.0, "be > 1")
     start = _check_index(start, "start", 1)
     n = 1 if size is None else _check_index(size, "size")
     gen, out, done = rng.generator, np.empty(n, dtype=np.int64), 0
@@ -262,10 +255,16 @@ def _compound_poisson(rate: float, draw_jumps, rng: RngState, n: int) -> np.ndar
     accumulating float multiples of a fractional pitch would drift off it.
     """
     counts = sample_poisson(rate, rng, n)
+    if counts.sum(dtype=np.float64) >= _INT_LIMIT:  # where the int64 sum may wrap
+        raise PrecisionError(f"the jump count of {n} draws at intensity {rate:.5g} reaches 2^62")
     total = int(counts.sum())
     if total == 0:
         return np.zeros(n, dtype=np.int64)
-    jumps = draw_jumps(rng, total)
+    try:
+        jumps = draw_jumps(rng, total)
+    except MemoryError:
+        raise PrecisionError(f"{total} jumps for {n} draws at jump intensity {rate:.5g} per draw"
+                             " do not fit in memory") from None
     # each nonempty draw's jumps run from its start to the next nonempty one's
     nonempty = counts > 0
     starts = (np.cumsum(counts) - counts)[nonempty]

@@ -1,4 +1,7 @@
-"""Scalar special functions backing the lattice families, on numpy and the math module.
+"""Scalar special functions backing the lattice families, on numpy and the math module,
+and the argument readers of every public function: _check_index for integers, _scalar for
+real scalars, and _points with _shaped for real points, which give a Python scalar back
+for a scalar and an array of the input's shape for an array-like.
 
 Everything here is float64: Sibuya probabilities from one survival product,
 the Hurwitz zeta function zeta(s, q) for s > 1 and integer q >= 1 by
@@ -68,11 +71,40 @@ def _lgamma_diff(base: float, shift: float) -> float:
     )
 
 
-def _check_index(k, name: str, least: int = 0) -> int:
-    """k as an int; DomainError unless k is an integer >= least."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {k!r}")
+def _check_index(k, name: str, least: int | None = 0) -> int:
+    """k as an int; DomainError unless k is an integer, and >= least unless least is None."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or (
+            least is not None and k < least):
+        floor = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an integer{floor}, got {k!r}")
     return int(k)
+
+
+def _scalar(v, name: str, ok, rule: str) -> float:
+    """v as a float; DomainError unless v is an int or a float, not a bool, and ok(v)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not ok(v):
+        raise DomainError(f"{name} must {rule}, got {v!r}")
+    return float(v)
+
+
+def _points(x, name: str, ok=np.isfinite, rule: str = "be finite"):
+    """(x as a flat float array, its shape, or None for a scalar x); DomainError unless x
+    holds ints or floats, not bools, and ok holds at every point, in one pass over them."""
+    arr = np.asarray(x)
+    if arr.dtype == object and all(type(v) is int for v in arr.flat):  # ints past int64
+        arr = arr.astype(float)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must {rule}, got non-real {x!r}")
+    flat = arr.astype(float, copy=False).ravel()
+    good = ok(flat)
+    if not good.all():
+        raise DomainError(f"{name} must {rule}, got {float(flat[np.argmin(good)])!r}")
+    return flat, None if arr.ndim == 0 else arr.shape
+
+
+def _shaped(out: np.ndarray, shape):
+    """out from _points' flat array: a Python scalar if shape is None, else out in shape."""
+    return out[0].item() if shape is None else out.reshape(shape)
 
 
 def sibuya_pmf(alpha: float, k) -> float:
@@ -81,18 +113,14 @@ def sibuya_pmf(alpha: float, k) -> float:
     P(K = k) = (-1)^(k+1) C(alpha, k) = (alpha/k) P(K > k-1), so the mass is the
     survival product times one ratio, with no alternating signs."""
     k = _check_index(k, "k", 1)
-    a = float(alpha)
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"sibuya_pmf requires alpha in (0, 1], got {alpha!r}")
+    a = _scalar(alpha, "alpha", lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
     return a / k * sibuya_survival(a, k - 1)
 
 
 def sibuya_survival(alpha: float, m) -> float:
     """P(K > m) for the Sibuya law: prod_{j<=m} (1 - alpha/j)."""
     m = _check_index(m, "m")
-    a = float(alpha)
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"sibuya_survival requires alpha in (0, 1], got {alpha!r}")
+    a = _scalar(alpha, "alpha", lambda v: 0.0 < v <= 1.0, "be in (0, 1]")
     if m <= 64:
         return math.prod(1.0 - a / j for j in range(1, m + 1))
     if a == 1.0:
@@ -134,10 +162,7 @@ def riemann_zeta(s: float) -> float:
 
     PolylogDS takes its intensity, its CF's zeta(s) and polylog_unit(s, 0) from here,
     so that one value cancels and its CF is exactly 1 at t = 0."""
-    s = float(s)
-    if not s > 1.0:
-        raise DomainError(f"riemann_zeta requires s > 1, got {s!r}")
-    return _hurwitz_zeta(s, 1)
+    return _hurwitz_zeta(_scalar(s, "s", lambda v: v > 1.0, "be > 1"), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +339,11 @@ def polylog_unit(s: float, theta):
     [-9, 100], the largest absolute error measured was 9.2e-15, and the largest
     relative error where |Li| > 10 was 3.4e-16.
     """
-    s = float(s)
-    if not s > 1.0:
-        raise DomainError(f"polylog_unit requires s > 1, got {s!r}")
-    th = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(th)):
-        raise DomainError("polylog_unit requires finite theta")
-    flat = np.atleast_1d(th).ravel()
+    s = _scalar(s, "s", lambda v: v > 1.0, "be > 1")
+    flat, shape = _points(theta, "theta")
     # from s = 60 on only k = 1..63 contribute above float64 resolution
     block = _series(s) if s < 60.0 else lambda th: riemann_zeta(s) + _finite_polylog_step(s, th, 63)
     out = np.empty(flat.shape, dtype=complex)
     for lo in range(0, flat.size, _CHUNK):
         out[lo : lo + _CHUNK] = block(flat[lo : lo + _CHUNK])
-    if th.ndim == 0:
-        return complex(out[0])
-    return out.reshape(th.shape)
+    return _shaped(out, shape)

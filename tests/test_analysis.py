@@ -34,7 +34,8 @@ from dstable.families import (
     TruncatedSDS,
     char_fn,
 )
-from dstable.inversion import pmf_from_cf, tail_prob
+from dstable.inversion import LatticePMF, pmf_from_cf, tail_prob
+from dstable.quadrature import tanh_sinh
 from dstable.sampling import RngState, sample_family
 
 # sigma = 1 tail constants: 1 / (Gamma(1-2g) cos(pi g)) away from g = 1/2,
@@ -230,7 +231,7 @@ def test_tail_check_contamination_unresolvable():
                    x_grid=np.linspace(50.0, 200.0, 5), n_max=1 << 14)
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, math.nan, "x", 1j, None, True])
 def test_tail_check_rejects_alias_tol_outside_unit_interval(tol):
     for grid in (None, np.linspace(10.0, 100.0, 5)):
         with pytest.raises(DomainError, match="alias_tol"):
@@ -604,6 +605,12 @@ def test_binned_tv_rejects_nan():
         binned_tv(pmf, [math.nan] * 10 + [0.0])
 
 
+def test_binned_tv_rejects_massless_pmf():
+    # valid: the alias bound of 1 covers the missing mass
+    with pytest.raises(DomainError, match="pmf carries no mass"):
+        binned_tv(LatticePMF(0.1, 0, np.zeros(4), 1.0), [0.0, 0.1])
+
+
 # ---------------------------------------------------------------------------
 # pre-limit sums
 # ---------------------------------------------------------------------------
@@ -650,6 +657,24 @@ def test_prelimit_rejects_bad_inputs():
     for bad in ([0], [], [[2, 3]], [2.5]):
         with pytest.raises(DomainError, match="n_values"):
             prelimit_experiment(good, bad, reps=10_000, seed=0)
+
+
+def test_prelimit_constant_sums_are_at_ks_one_from_the_gaussian():
+    # Lambda ~ 1e-24: every draw, so every sum, is 0, and the Gaussian has sd 0
+    rep = prelimit_experiment(TruncatedSDS(0.4, 1e-12, 1.0, 8), [1, 2], 10_000, 0)
+    assert np.all(rep.ks_to_gaussian == 1.0)
+
+
+def test_tanh_sinh_rejects_an_empty_interval():
+    for a, b in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(DomainError, match="b > a"):
+            tanh_sinh(np.cos, a, b)
+
+
+def test_tanh_sinh_unresolved_integrand_raises():
+    # a step function with 31 jumps: the level-to-level change never reaches 1e-14
+    with pytest.raises(PrecisionError, match="did not reach"):
+        tanh_sinh(lambda x: np.sign(np.sin(50 * x)), 0.0, 1.0, tol=1e-14)
 
 
 def test_prelimit_admits_truncated_polylog():

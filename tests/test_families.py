@@ -97,6 +97,11 @@ _INVALID = [
     (lambda: StableParams(2.5, 0.0, 1.0), "alpha must be in"),
     (lambda: StableParams(1.0, -1.01, 1.0), "beta must be in"),
     (lambda: StableParams(1.0, 0.0, 0.0), "sigma must be > 0"),
+    (lambda: SymmetricDS("x", 1.0, 1.0), "gamma must be in"),
+    (lambda: SymmetricDS(0.5, 1j, 1.0), "sigma must be > 0"),
+    (lambda: TemperedDS(0.5, 0.0, 1.0, 1.0, None, 1.0), "theta1 must be >= 0"),
+    (lambda: SymmetricDS(True, 1.0, 1.0), "gamma must be in"),
+    (lambda: StableParams(np.array(1.0), 0.0, 1.0), "alpha must be in"),  # a 0-d array
 ]
 
 
@@ -152,10 +157,19 @@ def test_cf_hermitian_and_periodic(p):
 @pytest.mark.parametrize("p", FIXED_FAMILIES, ids=lambda p: type(p).__name__)
 def test_cf_rejects_non_finite_t(p):
     h = compound_poisson_view(p).jump_cf
-    for bad in (math.nan, math.inf, np.array([0.0, -math.inf])):
+    for bad in (math.nan, math.inf, np.array([0.0, -math.inf]), "x", 1j, None, True):
         for f in (lambda t: char_fn(p, t), h):
             with pytest.raises(DomainError, match="finite"):
                 f(bad)
+
+
+@pytest.mark.parametrize("p", FIXED_FAMILIES, ids=lambda p: type(p).__name__)
+def test_jump_cf_at_a_scalar_is_a_complex(p):
+    # DiscreteStable and TemperedDS raised AttributeError here; the others gave numpy scalars
+    h = compound_poisson_view(p).jump_cf
+    for t in (0.0, 0.7, -3.0):
+        got = h(t)
+        assert type(got) is complex and got == h(np.array([t]))[0]
 
 
 def test_cf_shapes():
@@ -646,7 +660,8 @@ def test_stable_cf_skewed_domain_errors():
 @pytest.mark.parametrize("s", [StableParams(0.7, 0.0, 1.0), StableParams(0.7, 0.5, 1.0)],
                          ids=["symmetric", "skewed"])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
-                               np.array([0.0, 1.0, math.nan]), np.array([-math.inf, 2.0])])
+                               np.array([0.0, 1.0, math.nan]), np.array([-math.inf, 2.0]),
+                               "x", 1j, None, True])
 def test_stable_cf_rejects_non_finite_t(s, t):
     # NaN came back as nan+0j and +-inf as 0, where char_fn raises
     with pytest.raises(DomainError, match="t must be finite"):

@@ -287,6 +287,26 @@ def test_lattice_pmf_invariants_enforced():
     LatticePMF(1.0, -1, np.array([0.2, 0.2, 0.2]), 0.5)
 
 
+def test_lattice_pmf_rejects_bad_fields():
+    good = np.array([0.25, 0.5, 0.25])
+    for k_min in (1.5, "x", True):
+        with pytest.raises(DomainError, match="k_min must be an integer"):
+            LatticePMF(1.0, k_min, good, 0.0)
+    with pytest.raises(DomainError, match="alias_bound must be >= 0, got nan"):
+        LatticePMF(1.0, -1, good, math.nan)
+    with pytest.raises(DomainError, match="nonempty"):
+        LatticePMF(0.1, 0, np.array([]), 0.0)
+    LatticePMF(1.0, -1, good, math.inf)  # an unbounded alias estimate is allowed
+
+
+def test_pmf_from_cf_rejects_bad_pitch_and_short_cf():
+    with pytest.raises(DomainError, match="lattice pitch a must be > 0"):
+        pmf_from_cf(lambda t: np.ones(t.shape, dtype=complex), -1.0, 8)
+    # the half grid of n = 8 has 5 points
+    with pytest.raises(DomainError, match="cf must return one value per grid point"):
+        pmf_from_cf(lambda t: np.ones(3, dtype=complex), 1.0, 8)
+
+
 def test_mass_at_outside_window_is_zero():
     pmf = pmf_from_cf(lambda t: np.cos(t) + 0j, 1.0, 8)
     assert pmf.mass_at(17) == 0.0

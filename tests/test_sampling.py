@@ -169,7 +169,7 @@ class TestPoisson:
             with pytest.raises(PrecisionError, match="int64"):
                 sample_poisson(rate, RngState(0), size=4)
 
-    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, "2"])
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, "2", "x", 1j, None, True])
     def test_bad_rate(self, rate):
         with pytest.raises(DomainError):
             sample_poisson(rate, RngState(0))
@@ -298,6 +298,10 @@ class TestTemperedSibuya:
     def test_bad_theta(self, theta):
         with pytest.raises(DomainError):
             sample_tempered_sibuya(0.5, theta, RngState(0))
+
+    def test_bad_alpha(self):
+        with pytest.raises(DomainError, match="alpha must be in"):
+            sample_tempered_sibuya(1.5, 0.5, RngState(0))
 
 
 class TestZeta:
@@ -815,6 +819,17 @@ class TestSampleFamily:
         p = TemperedDS(0.6, 0.4, 1.0, 0.1, 0.5, 0.5)
         with pytest.raises(PrecisionError, match="2\\^62"):
             sample_family(p, RngState(0), size=1000)
+
+    def test_jumps_beyond_memory_raise(self):
+        # Lambda ~ 4.5e15 per draw: the 1.35e16 jumps of 3 draws fail to allocate at once
+        with pytest.raises(PrecisionError, match="13510799002058146 jumps for 3 draws .* memory"):
+            sample_family(PolylogDS(2**-52, 1, 0, 1), RngState(0), 3)
+
+    # Lambda ~ 4.0e18 per draw: the int64 sum of the counts would wrap, before any jump is drawn
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_jump_count_beyond_int_range_raises(self, size):
+        with pytest.raises(PrecisionError, match="2\\^62"):
+            sample_family(PolylogDS(0.5, 1, 0, 4.3e-37), RngState(0), size)
 
     @pytest.mark.parametrize("size", [-1, 2.5, "10"])
     def test_bad_size(self, size):
