@@ -32,6 +32,7 @@ from .families import (
 )
 from .inversion import pmf_auto, pmf_from_cf
 from .sampling import RngState, sample_family
+from .special import _check_index, _scalar
 
 # family name -> (constructor, parameter flags in constructor order): the
 # dataclass fields, named as in messages (p, q -> P, Q)
@@ -42,7 +43,12 @@ _FAMILIES = {
                       ("polylog-ds", PolylogDS), ("truncated-polylog-ds", TruncatedPolylogDS))
 }
 
-_PARAM_FLAGS = {flag for _, flags in _FAMILIES.values() for flag in flags}
+# flag -> (type, the families that take it), in order of first use: m, the one field
+# that _RULES reads as an integer, is an int flag, and every other flag a float
+_FLAGS = {
+    flag: (int if ok is None else float, [n for n, (_, fs) in _FAMILIES.items() if flag in fs])
+    for cls, _ in _FAMILIES.values() for flag, ok, _ in (_RULES[f.name] for f in fields(cls))
+}
 
 # table rows are formatted column by column, this many rows at a time
 _ROW_BLOCK = 1 << 16
@@ -52,22 +58,14 @@ def _add_family_arguments(sub):
     sub.add_argument("family", choices=sorted(_FAMILIES),
                      help="distribution family")
     group = sub.add_argument_group("family parameters")
-    group.add_argument("--gamma", type=float, help="tail exponent / 2")
-    group.add_argument("--sigma", type=float, help="scale")
-    group.add_argument("--a", type=float, help="lattice pitch")
-    group.add_argument("--m", type=int, help="jump-size cutoff in lattice steps")
-    group.add_argument("--alpha", type=float, help="tail exponent")
-    group.add_argument("--beta", type=float, help="skewness in [-1, 1]")
-    group.add_argument("--theta1", type=float, help="positive-side tempering rate")
-    group.add_argument("--theta2", type=float, help="negative-side tempering rate")
-    group.add_argument("--P", type=float, help="positive-side intensity")
-    group.add_argument("--Q", type=float, help="negative-side intensity")
+    for flag, (kind, families) in _FLAGS.items():
+        group.add_argument("--" + flag, type=kind, help="for " + ", ".join(families))
 
 
 def _build_family(args):
     """Construct the selected family from exactly its parameter flags."""
     ctor, wanted = _FAMILIES[args.family]
-    given = {f for f in _PARAM_FLAGS if getattr(args, f) is not None}
+    given = {f for f in _FLAGS if getattr(args, f) is not None}
     missing = [f for f in wanted if f not in given]
     extra = sorted(given - set(wanted))
     if missing:
@@ -77,16 +75,6 @@ def _build_family(args):
         raise DomainError(
             f"{args.family} does not take {', '.join('--' + f for f in extra)}")
     return ctor(*(getattr(args, f) for f in wanted))
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    raw = os.environ.get("DSTABLE_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"DSTABLE_THREADS must be an integer, got {raw!r}")
 
 
 def _list_flag(text: str, flag: str, cast) -> list:
@@ -169,10 +157,8 @@ def _family_meta(args) -> dict:
 
 def _cmd_cf(args):
     p = _build_family(args)
-    if args.points < 2:
-        raise DomainError(f"--points must be >= 2, got {args.points}")
-    if not 0.0 < args.t_max < math.inf:
-        raise DomainError(f"--t-max must be finite and > 0, got {args.t_max}")
+    _check_index(args.points, "--points", 2)
+    _scalar(args.t_max, "--t-max", lambda v: 0.0 < v < math.inf, "be finite and > 0")
     t = np.linspace(-args.t_max, args.t_max, args.points)
     vals = char_fn(p, t)
     meta = _family_meta(args) | {"t_max": args.t_max, "points": args.points}
@@ -196,7 +182,7 @@ def _cmd_pmf(args):
 def _cmd_sample(args):
     p = _build_family(args)
     rng = RngState(args.seed)
-    draws = sample_family(p, rng, args.size, threads=_resolve_threads(args))
+    draws = sample_family(p, rng, args.size, threads=args.threads)
     meta = _family_meta(args) | {"size": args.size, "seed": args.seed}
     return meta, ("value",), (draws,)
 
@@ -243,7 +229,7 @@ def _cmd_prelimit(args):
     p = _build_family(args)
     n_values = _list_flag(args.n_values, "n-values", int)
     report = prelimit_experiment(p, n_values, reps=args.reps, seed=args.seed,
-                                 threads=_resolve_threads(args))
+                                 threads=args.threads)
     meta = _family_meta(args) | {"reps": args.reps, "seed": args.seed}
     columns = (report.n_values, report.ks_to_stable, report.ks_to_gaussian,
                report.predicted_sum_variance)
@@ -282,8 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(s)
     s.add_argument("--size", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int,
-                   help="worker threads (default $DSTABLE_THREADS or 1)")
+    s.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     s.set_defaults(run=_cmd_sample)
 
     s = sub.add_parser("tails", help="tail scaling against the closed form")
@@ -310,8 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated summand counts, e.g. 2,10,50")
     s.add_argument("--reps", type=int, default=20_000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int,
-                   help="worker threads (default $DSTABLE_THREADS or 1)")
+    s.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     s.set_defaults(run=_cmd_prelimit)
 
     return parser

@@ -476,7 +476,8 @@ def stable_cf(s: StableParams, t) -> np.ndarray:
     skewed strictly stable form, which requires alpha in (0, 1).
     """
     t, shape = _points(t, "t")
-    mag = (s.sigma * np.abs(t)) ** s.alpha
+    with np.errstate(over="ignore"):  # an infinite mag at large finite t: the CF is 0
+        mag = (s.sigma * np.abs(t)) ** s.alpha
     if s.beta == 0.0:
         g = np.exp(-mag).astype(complex)
     else:

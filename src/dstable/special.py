@@ -89,11 +89,13 @@ def _scalar(v, name: str, ok, rule: str) -> float:
 
 def _points(x, name: str, ok=np.isfinite, rule: str = "be finite"):
     """(x as a flat float array, its shape, or None for a scalar x); DomainError unless x
-    holds ints or floats, not bools, and ok holds at every point, in one pass over them."""
+    holds ints or floats, not bools, and ok holds at every point, in one pass over them.
+    A list or tuple is read element by element for bools, which numpy casts to numbers."""
     arr = np.asarray(x)
     if arr.dtype == object and all(type(v) is int for v in arr.flat):  # ints past int64
         arr = arr.astype(float)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or (isinstance(x, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):
         raise DomainError(f"{name} must {rule}, got non-real {x!r}")
     flat = arr.astype(float, copy=False).ravel()
     good = ok(flat)

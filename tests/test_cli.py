@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import pytest
 
 import dstable
 from dstable.analysis import cf_distance, tail_check
-from dstable.cli import _fmt, _json_value, _write_table, main
+from dstable.cli import _FAMILIES, _build_parser, _fmt, _json_value, _write_table, main
 from dstable.analysis import stable_cdf
 from dstable.families import PolylogDS, StableParams, SymmetricDS, TruncatedSDS, char_fn
 
@@ -80,7 +82,7 @@ def test_cf_json_matches_library(capsys):
 def test_cf_rejects_degenerate_grid(capsys):
     rc, _, err = _run(capsys, ["cf"] + SDS_FLAGS + ["--points", "1"])
     assert rc == 2 and "points" in err
-    for t_max in ("0", "inf"):
+    for t_max in ("0", "inf", "nan"):
         rc, _, err = _run(capsys, ["cf"] + SDS_FLAGS + ["--t-max", t_max])
         assert rc == 2 and "t-max" in err
 
@@ -121,7 +123,7 @@ def test_pmf_rejects_non_power_of_two(capsys):
 # sample
 # ---------------------------------------------------------------------------
 
-def test_sample_deterministic_and_thread_invariant(capsys, monkeypatch):
+def test_sample_deterministic_and_thread_invariant(capsys):
     argv = ["sample", "ds", "--alpha", "0.7", "--beta", "0.5", "--sigma", "1",
             "--a", "0.1", "--size", "500", "--seed", "42"]
     _, base, _ = _run(capsys, argv)
@@ -129,9 +131,6 @@ def test_sample_deterministic_and_thread_invariant(capsys, monkeypatch):
     assert base == again
     _, threaded, _ = _run(capsys, argv + ["--threads", "8"])
     assert base == threaded
-    monkeypatch.setenv("DSTABLE_THREADS", "8")
-    _, via_env, _ = _run(capsys, argv)
-    assert base == via_env
     _, other_seed, _ = _run(capsys, argv[:-1] + ["43"])
     assert base != other_seed
 
@@ -164,12 +163,6 @@ def test_sample_rejects_bad_requests(capsys):
     assert rc == 2
     rc, _, _ = _run(capsys, base + ["--size", "3", "--threads", "0"])
     assert rc == 2
-
-
-def test_sample_env_threads_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("DSTABLE_THREADS", "many")
-    rc, _, err = _run(capsys, ["sample"] + SDS_FLAGS + ["--size", "3"])
-    assert rc == 2 and "DSTABLE_THREADS" in err
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +283,12 @@ def test_prelimit_rejects_malformed_n_values(capsys):
         assert rc == 2 and "--n-values" in err and "Traceback" not in err
 
 
+def test_prelimit_rejects_zero_threads(capsys):
+    rc, _, err = _run(capsys, ["prelimit"] + TRUNC_FLAGS
+                      + ["--n-values", "2", "--reps", "10000", "--threads", "0"])
+    assert rc == 2 and "threads must be an integer >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # family construction and surface behavior
 # ---------------------------------------------------------------------------
@@ -318,6 +317,31 @@ def test_help_exits_cleanly(capsys):
     assert "{cf,pmf,sample,tails,converge,prelimit}" in capsys.readouterr().out
 
 
+def _readme_section(heading=None):
+    """README.md from its `## heading` line, or from the top, to the next `## ` heading."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return (text if heading is None else text.split(f"\n## {heading}\n")[1]).split("\n## ")[0]
+
+
+def test_readme_commands_parse():
+    # every command of README "Command line", continuations joined, parses as written
+    block = _readme_section("Command line").split("```sh\n")[1].split("```")[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dstable ")]
+    assert len(commands) == 6
+    parser = _build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])  # SystemExit on a usage error
+
+
+def test_readme_family_table_is_the_cli_family_table():
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            for line in _readme_section().splitlines()
+            if line.startswith("| `")]
+    assert {cli: (name, tuple(params.split(", "))) for name, cli, params in rows} == {
+        cli: (cls.__name__, flags) for cli, (cls, flags) in _FAMILIES.items()}
+
+
 def _child_env():
     """The environment for a child interpreter that imports this dstable."""
     src = os.path.dirname(os.path.dirname(dstable.__file__))
@@ -344,7 +368,7 @@ _ANY_SCIPY = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     ("stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)",
      lambda: stable_cdf(StableParams(2.0, 0.0, 1.0), 0.3)),
 ], ids=["polylog_cf", "gaussian_cdf"])
-def test_scipy_imported_on_first_use(call, expected):
+def test_calls_load_no_scipy_and_build_no_jump_table(call, expected):
     out = _child_stdout(
         "import sys\n"
         "import dstable, dstable.cli\n"
@@ -382,7 +406,7 @@ _SAMPLE_FLAGS = {
     ["pmf", "polylog-ds", *_POLYLOG_FLAGS, "--n", "1024"],
 ], ids=[*(f"sample_{f}" for f in _SAMPLE_FLAGS), "prelimit_tempered", "cf_polylog",
         "converge_polylog", "pmf_polylog"])
-def test_cli_loads_scipy_special_only_for_polylog_cf(argv):
+def test_cli_commands_load_no_scipy(argv):
     out = _child_stdout(
         "import contextlib, io, sys\n"
         "from dstable import cli\n"

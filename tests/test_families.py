@@ -157,7 +157,8 @@ def test_cf_hermitian_and_periodic(p):
 @pytest.mark.parametrize("p", FIXED_FAMILIES, ids=lambda p: type(p).__name__)
 def test_cf_rejects_non_finite_t(p):
     h = compound_poisson_view(p).jump_cf
-    for bad in (math.nan, math.inf, np.array([0.0, -math.inf]), "x", 1j, None, True):
+    for bad in (math.nan, math.inf, np.array([0.0, -math.inf]), "x", 1j, None, True,
+                [True, 0.5], [0.5, np.True_]):
         for f in (lambda t: char_fn(p, t), h):
             with pytest.raises(DomainError, match="finite"):
                 f(bad)
@@ -177,6 +178,12 @@ def test_cf_shapes():
     assert isinstance(char_fn(p, 1.0), complex)
     t = np.linspace(-1, 1, 6).reshape(2, 3)
     assert char_fn(p, t).shape == (2, 3)
+
+
+def test_cf_reads_ints_past_int64_as_floats():
+    p = SymmetricDS(0.5, 1.0, 1.0)
+    assert np.array_equal(char_fn(p, [2**70, 1]), char_fn(p, [float(2**70), 1.0]))
+    assert char_fn(p, 2**70) == char_fn(p, float(2**70))
 
 
 @settings(max_examples=60, deadline=None)
@@ -650,6 +657,14 @@ def test_stable_cf_values():
     assert abs(stable_cf(StableParams(0.5, 1.0, 1.0), -1.0) - want.conjugate()) < 1e-15
 
 
+@pytest.mark.parametrize("s", [StableParams(2.0, 0.0, 1.0), StableParams(0.7, 0.5, 1e10)],
+                         ids=["gaussian", "skewed"])
+def test_stable_cf_is_quietly_zero_at_large_finite_t(s):
+    # (sigma |t|)^alpha overflows to inf here, and the CF is 0 with no overflow warning
+    assert stable_cf(s, 1e300) == 0j
+    assert np.array_equal(stable_cf(s, np.array([-1e300, 1e300])), [0j, 0j])
+
+
 def test_stable_cf_skewed_domain_errors():
     with pytest.raises(DomainError):
         stable_cf(StableParams(1.0, 0.5, 1.0), 1.0)
@@ -661,7 +676,7 @@ def test_stable_cf_skewed_domain_errors():
                          ids=["symmetric", "skewed"])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
                                np.array([0.0, 1.0, math.nan]), np.array([-math.inf, 2.0]),
-                               "x", 1j, None, True])
+                               "x", 1j, None, True, [True, 0.5], [0.5, np.True_]])
 def test_stable_cf_rejects_non_finite_t(s, t):
     # NaN came back as nan+0j and +-inf as 0, where char_fn raises
     with pytest.raises(DomainError, match="t must be finite"):
