@@ -19,7 +19,7 @@ from .families import (
     stable_cf,
     target_stable,
 )
-from .inversion import LatticePMF, _HalfGridMemo, pmf_from_cf, tail_prob
+from .inversion import LatticePMF, _HalfGrid, pmf_from_cf, tail_prob
 from .quadrature import tanh_sinh
 from .sampling import RngState, sample_family
 from .special import _check_index, _points, _scalar, _shaped
@@ -149,8 +149,7 @@ def _decay_exponent(x: np.ndarray, tail: np.ndarray) -> float:
 
 def _fold_in(pmf: LatticePMF, x: float) -> float:
     """Bound on the mass folded into |X| <= x, for tails decreasing past the window."""
-    cl = pmf.clamped()
-    return (x / pmf.a + 1.0) * (cl[0] + cl[-1])
+    return (x / pmf.a + 1.0) * (max(pmf.masses[0], 0.0) + max(pmf.masses[-1], 0.0))
 
 
 def _pmf_covering(p: FamilyParams, x_max: float, alias_tol: float,
@@ -164,12 +163,13 @@ def _pmf_covering(p: FamilyParams, x_max: float, alias_tol: float,
             f"window 2^{int(math.log2(n_max))} cannot cover x = {x_max:g} "
             f"with margin at lattice pitch {p.a:g}"
         )
-    memo = _HalfGridMemo(lambda t: char_fn(p, t))  # each doubling adds the odd points only
+    grid = _HalfGrid(lambda t: char_fn(p, t))  # each doubling adds the odd points only
     while True:
-        pmf = pmf_from_cf(memo, p.a, n)
+        pmf = pmf_from_cf(grid, p.a, n)
         contamination = _fold_in(pmf, x_max)
         if contamination < alias_tol:
             return pmf
+        del pmf  # before the next window's arrays
         n *= 2
         if n > n_max:
             raise PrecisionError(

@@ -10,7 +10,6 @@ result cannot be computed to tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -105,17 +104,15 @@ def _json_value(v):
     return v
 
 
-def _column_text(col, fmt: str) -> list:
-    """A numeric column as fields: floats as %.17g in CSV, as _fmt writes them,
-    and as json.dump writes them in JSON, with non-finite values as null."""
+def _column_fields(col, fmt: str):
+    """A numeric column as a % spec and its values: floats as %.17g in CSV, as _fmt
+    writes them, and by repr as json.dump writes them in JSON, non-finite as null."""
     col = np.asarray(col)
-    if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    text = list(map("{:.17g}".format if fmt == "csv" else repr, col.tolist()))
-    if fmt == "json":
+    values = col.tolist()
+    if col.dtype.kind == "f" and fmt == "json":
         for i in np.flatnonzero(~np.isfinite(col)):
-            text[i] = "null"
-    return text
+            values[i] = "null"
+    return "%.17g" if col.dtype.kind == "f" and fmt == "csv" else "%s", values
 
 
 def _write_table(stream, fmt: str, meta: dict, names, columns) -> None:
@@ -126,29 +123,31 @@ def _write_table(stream, fmt: str, meta: dict, names, columns) -> None:
     """
     n = len(columns[0])
     if fmt == "json":
+        import json
         head = json.dumps({"meta": {k: _json_value(v) for k, v in meta.items()},
                            "columns": list(names), "rows": []}, indent=2)
         # rows go between the brackets of the empty "rows": [] that ends head
         stream.write(head[:-len("]\n}")] + "\n" if n else head)
-        row = "    [\n      " + ",\n      ".join(["{}"] * len(columns)) + "\n    ]"
+        frame, comma = "    [\n      {}\n    ]", ",\n      "
         sep, end = ",\n", "\n  ]\n}\n" if n else "\n"
     else:
         for k, v in meta.items():
             stream.write(f"# {k}={_fmt(v)}\n")
         stream.write(",".join(names) + "\n")
-        row, sep, end = ",".join(["{}"] * len(columns)), "\n", "\n" if n else ""
+        frame, comma, sep, end = "{}", ",", "\n", "\n" if n else ""
     for lo in range(0, n, _ROW_BLOCK):
-        fields = [_column_text(col[lo:lo + _ROW_BLOCK], fmt) for col in columns]
-        stream.write(("" if lo == 0 else sep) + sep.join(map(row.format, *fields)))
+        specs, blocks = zip(*(_column_fields(col[lo:lo + _ROW_BLOCK], fmt) for col in columns))
+        fields = [None] * (len(blocks[0]) * len(columns))  # row after row, for one %
+        for c, values in enumerate(blocks):
+            fields[c::len(columns)] = values
+        row = frame.format(comma.join(specs))
+        stream.write(("" if lo == 0 else sep) + sep.join([row] * len(blocks[0])) % tuple(fields))
     stream.write(end)
 
 
 def _family_meta(args) -> dict:
-    meta = {"family": args.family}
-    for f in _FAMILIES[args.family][1]:
-        if getattr(args, f, None) is not None:
-            meta[f] = getattr(args, f)
-    return meta
+    given = {f: getattr(args, f, None) for f in _FAMILIES[args.family][1]}
+    return {"family": args.family} | {f: v for f, v in given.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +171,7 @@ def _cmd_pmf(args):
         pmf = pmf_from_cf(cf, p.a, args.n)
     else:
         pmf = pmf_auto(cf, p.a, tol=args.tol, n_max=args.n_max)
-    meta = _family_meta(args) | {
-        "n": pmf.masses.size,
-        "alias_bound": pmf.alias_bound,
-    }
+    meta = _family_meta(args) | {"n": pmf.masses.size, "alias_bound": pmf.alias_bound}
     return meta, ("k", "x", "mass"), (pmf.k_values(), pmf.x_values(), pmf.clamped())
 
 
@@ -189,14 +185,12 @@ def _cmd_sample(args):
 
 def _cmd_tails(args):
     p = _build_family(args)
-    grid_flags = (args.x_min, args.x_max, args.grid_points)
+    grid_flags, grid = (args.x_min, args.x_max, args.grid_points), None
     if any(v is not None for v in grid_flags):
         if any(v is None for v in grid_flags):
             raise DomainError(
                 "--x-min, --x-max and --grid-points must be given together")
         grid = np.linspace(args.x_min, args.x_max, args.grid_points)
-    else:
-        grid = None
     report = tail_check(p, x_grid=grid, alias_tol=args.alias_tol,
                         n_max=args.n_max)
     meta = _family_meta(args) | {
@@ -305,12 +299,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         meta, names, columns = args.run(args)
-    except DomainError as e:
+    except (DomainError, PrecisionError, InversionError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (PrecisionError, InversionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, DomainError) else 3
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_table(fh, args.format, meta, names, columns)

@@ -20,7 +20,6 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.chebyshev import poly2cheb
 
 from . import sampling
 from .errors import DomainError, PrecisionError
@@ -268,6 +267,7 @@ class TruncatedSDS(_FiniteLevy):
     @cached_property
     def _table(self):
         # poly2cheb drops trailing b_j that underflow to 0 (m past ~1000)
+        from numpy.polynomial.chebyshev import poly2cheb
         half = 0.5 * _walk_rate(self)
         return half, half, poly2cheb(np.r_[0.0, _sibuya_weights(self.gamma, self.m)])
 

@@ -8,6 +8,9 @@ points) and the masses are the real inverse FFT of conj g. They come folded
 modulo N, so the window must be wide enough that out-of-window mass is
 negligible; `alias_bound` carries a cheap estimate of that mass and
 `pmf_auto` doubles the window until it is small, reusing the previous CF values.
+conj g sits in one complex buffer, filled by calls to g on special._CHUNK points at a
+time and transformed as it is: a window of N points peaks near 24N bytes plus numpy's
+8N-byte FFT scratch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InversionError, PrecisionError
-from .special import _check_index, _points, _scalar, _shaped
+from .special import _CHUNK, _check_index, _points, _scalar, _shaped
 
 __all__ = ["LatticePMF", "pmf_from_cf", "pmf_auto", "tail_prob", "cdf_from_pmf"]
 
@@ -59,7 +62,9 @@ class LatticePMF:
         return np.arange(self.k_min, self.k_min + self.masses.size)
 
     def x_values(self) -> np.ndarray:
-        return self.a * self.k_values()
+        x = np.arange(self.k_min, self.k_min + self.masses.size, dtype=float)  # k exact
+        x *= self.a
+        return x
 
     def clamped(self) -> np.ndarray:
         """Masses with the tiny negative rounding residues set to zero."""
@@ -107,18 +112,16 @@ def pmf_from_cf(cf, a: float, n: int) -> LatticePMF:
         raise DomainError(f"n must be a power of two >= 8, got {n}")
     _scalar(a, "lattice pitch a", lambda v: 0.0 < v < math.inf, "be > 0")
 
+    grid = cf if isinstance(cf, _HalfGrid) else _HalfGrid(cf)
     half = n // 2
     step = 2.0 * math.pi / (n * a)
-    t = step * np.arange(half + 1, dtype=float)
-    values = np.asarray(cf(t), dtype=complex)
-    if values.shape != t.shape:
-        raise DomainError("cf must return one value per grid point")
+    values = grid(step, half)  # conj cf(t_j), j = 0..n/2
     if abs(values[0] - 1.0) > 1e-12:
-        raise InversionError(f"cf(0) = {values[0]!r}, not 1 to 1e-12: not a CF")
+        raise InversionError(f"cf(0) = {values[0].conjugate()!r}, not 1 to 1e-12: not a CF")
     # mirror spot check on j = 1 .. n/2 - 1: every j up to 32 of them
     j = np.linspace(1, half - 1, min(_MIRROR_POINTS, half - 1)).round().astype(np.int64)
-    mirrored = np.asarray(cf(step * (n - j)), dtype=complex)
-    gap = max(abs(values[half].imag), float(np.max(np.abs(mirrored - np.conj(values[j])))))
+    mirrored = np.asarray(grid.cf(step * (n - j)), dtype=complex)
+    gap = max(abs(values[half].imag), float(np.max(np.abs(mirrored - values[j]))))
     if gap > _IMAG_TOL:
         raise InversionError(
             f"Im cf(pi/a) or |cf(t_(n-j)) - conj cf(t_j)| is {gap:.3e}, above "
@@ -126,7 +129,7 @@ def pmf_from_cf(cf, a: float, n: int) -> LatticePMF:
         )
 
     # masses at k = 0..n-1 (mod n), reordered to k = -n/2 .. n/2 - 1
-    masses = np.fft.fftshift(np.fft.irfft(np.conj(values), n))
+    masses = np.fft.fftshift(np.fft.irfft(values, n))
 
     clamped = np.maximum(masses, 0.0)
     alias = max(0.0, 1.0 - float(clamped.sum()))
@@ -135,26 +138,29 @@ def pmf_from_cf(cf, a: float, n: int) -> LatticePMF:
     return LatticePMF(a=a, k_min=-half, masses=masses, alias_bound=alias)
 
 
-class _HalfGridMemo:
-    """`cf` that reuses its values on the largest grid it has seen.
+class _HalfGrid:
+    """conj cf on the half grid t_j = j step, j = 0..half, of the last call.
 
-    The half grid of window 2n at even j is bit for bit the half grid of
-    window n (2n * a is exactly 2 * (n * a)), so a call whose even points
-    equal the stored grid evaluates `cf` at its odd points only.
+    `cf` is called on blocks of _CHUNK points. The half grid of window 2n at
+    even j is bit for bit that of window n (2n * a is exactly 2 * (n * a)), so
+    a call at half the last step over twice its points evaluates the odd j only.
     """
 
     def __init__(self, cf):
-        self.cf, self.t, self.values = cf, None, None
+        self.cf, self.step, self.values = cf, None, None
 
-    def __call__(self, t):
-        old = self.t
-        if old is not None and t.size == 2 * old.size - 1 and np.array_equal(t[::2], old):
-            values = np.empty(t.size, dtype=complex)
-            values[::2], values[1::2] = self.values, self.cf(t[1::2])
-        else:
-            values = np.asarray(self.cf(t), dtype=complex)
-        if old is None or t.size > old.size:  # smaller calls: the mirror spot check
-            self.t, self.values = t, values
+    def __call__(self, step: float, half: int) -> np.ndarray:
+        values, old, stride = np.empty(half + 1, dtype=complex), self.values, 1
+        if old is not None and 2.0 * step == self.step and half == 2 * (old.size - 1):
+            values[::2], stride = old, 2  # the even j from the last call; the odd j are left
+        for lo in range(stride - 1, half + 1, stride * _CHUNK):
+            hi = min(lo + stride * _CHUNK, half + 1)
+            j = np.arange(lo, hi, stride, dtype=float)
+            block = np.asarray(self.cf(step * j), dtype=complex)
+            if block.shape != j.shape:
+                raise DomainError("cf must return one value per grid point")
+            np.conjugate(block, out=values[lo:hi:stride])
+        self.step, self.values = step, values
         return values
 
 
@@ -167,14 +173,15 @@ def pmf_auto(cf, a: float, tol: float = 1e-6, n_max: int = 1 << 24) -> LatticePM
     """
     _scalar(tol, "tol", lambda v: 0.0 < v < 1.0, "be in (0, 1)")
     n_max = _check_index(n_max, "n_max", 256)  # 256 is the first window
-    memo = _HalfGridMemo(cf)
+    grid = _HalfGrid(cf)
     n = 256
     history = []
     while n <= n_max:
-        pmf = pmf_from_cf(memo, a, n)
+        pmf = pmf_from_cf(grid, a, n)
         history.append((n, pmf.alias_bound))
         if pmf.alias_bound < tol:
             return pmf
+        del pmf  # before the next window's arrays
         n *= 2
     hint = ""
     if len(history) >= 2 and history[-2][1] > 0 and history[-1][1] > 0:
@@ -210,5 +217,6 @@ def cdf_from_pmf(pmf: LatticePMF, x):
     """P(X <= x) under the clamped masses, right-continuous in x, for a scalar x (a float
     back) or an array of them (an array back)."""
     x, shape = _points(x, "x", lambda v: ~np.isnan(v), "not be NaN")
-    cum = np.r_[0.0, np.cumsum(pmf.clamped())]  # cum[i]: the mass at the first i points
+    cum = np.zeros(pmf.masses.size + 1)  # cum[i]: the mass at the first i points
+    np.cumsum(np.maximum(pmf.masses, 0.0, out=cum[1:]), out=cum[1:])
     return _shaped(cum[np.searchsorted(pmf.x_values(), x, side="right")], shape)

@@ -18,7 +18,6 @@ of how many threads consume the batches.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 
 import numpy as np
@@ -325,6 +324,7 @@ def sample_family(p: families.FamilyParams, rng: RngState, size=None, threads: i
     if threads == 1 or len(batches) == 1:
         parts = list(map(run, batches))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, batches))
     out = np.concatenate(parts)

@@ -150,6 +150,22 @@ def test_tail_constant_sign_flip_raises(monkeypatch):
 # tail_check: constant recovery and regime classification
 # ---------------------------------------------------------------------------
 
+def test_pmf_covering_evaluates_each_half_grid_point_once(monkeypatch):
+    # the x_grid path doubles its window from 2^10 as pmf_auto does: each doubling adds
+    # the odd half-grid points only, in blocks of at most 8192 points
+    p, seen = DiscreteStable(0.7, 0.5, 1.0, 1.0), []
+    monkeypatch.setattr(analysis, "char_fn", lambda q, t: seen.append(np.size(t)) or char_fn(q, t))
+    pmf = analysis._pmf_covering(p, 50.0, 1e-6, 1 << 22)
+    n = pmf.masses.size
+    windows = int(math.log2(n // 1024)) + 1
+    assert windows >= 4 and n // 4 > 8192  # the last doubling adds n / 4 points
+    assert sum(seen) == n // 2 + 1 + 32 * windows
+    assert max(seen) <= 8192
+    again = pmf_from_cf(lambda t: char_fn(p, t), p.a, n)
+    assert np.array_equal(pmf.masses, again.masses)
+    assert pmf.alias_bound == again.alias_bound
+
+
 def test_tail_check_auto_grid_recovers_constant():
     r = tail_check(SymmetricDS(0.45, 1.0, 1.0), n_max=1 << 20)
     assert r.theoretical_constant == pytest.approx(TAIL_CONSTANTS[0.45], rel=1e-13)

@@ -1,6 +1,7 @@
 """Command-line behavior: table formats, family construction from flags,
 agreement with the library calls, determinism, and exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -133,6 +134,19 @@ def test_sample_deterministic_and_thread_invariant(capsys):
     assert base == threaded
     _, other_seed, _ = _run(capsys, argv[:-1] + ["43"])
     assert base != other_seed
+
+
+# sha256 of `dstable sample ds ...` output, 70000 rows (two blocks of the writer)
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "17552f913c3c94410efd4ac72c91da297889cad9ffcda1b751156b5b148f3fbf"),
+    ("json", "68fe8f14005829e585cf930b8ec38d4e65b16276d2071b5c62f303d05c07b29a"),
+])
+def test_sample_output_bytes_are_frozen(capsys, fmt, digest):
+    rc, out, _ = _run(capsys, ["sample", "ds", "--alpha", "0.7", "--beta", "0.5",
+                               "--sigma", "1", "--a", "0.1", "--size", "70000",
+                               "--seed", "7", "--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sample_values_sit_on_lattice(capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import chebyshev
 
 from dstable import families
 from dstable.errors import DomainError, PrecisionError
@@ -751,8 +752,8 @@ def test_truncated_sds_cosine_weights_keep_the_walk_mass(gamma, m):
 def test_truncated_sds_table_is_built_once_per_object(monkeypatch):
     # char_fn, levy_weight and every 2^16-draw sampling batch read one Chebyshev table
     calls = []
-    real = families.poly2cheb
-    monkeypatch.setattr(families, "poly2cheb", lambda c: calls.append(1) or real(c))
+    real = chebyshev.poly2cheb  # imported by the table on first use
+    monkeypatch.setattr(chebyshev, "poly2cheb", lambda c: calls.append(1) or real(c))
     p = TruncatedSDS(0.35, 1.1, 0.7, 12)
     char_fn(p, np.linspace(-3.0, 3.0, 101))
     for k in range(1, 51):

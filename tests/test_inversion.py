@@ -3,6 +3,7 @@ identity, agreement with a direct DFT, the Hermitian spot checks, CF reuse
 across window doublings, and aliasing control."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,9 +347,37 @@ def test_pmf_auto_evaluates_each_half_grid_point_once(p, tol):
 
     pmf = pmf_auto(cf, p.a, tol=tol)
     final_n = pmf.masses.size
-    assert final_n >= 1024  # several doublings
+    assert final_n // 2 > 8192  # several doublings, and grids of several blocks
     windows = [256 << i for i in range(int(math.log2(final_n // 256)) + 1)]
     spot = sum(min(32, n // 2 - 1) for n in windows)
-    assert sum(seen) <= final_n // 2 + 1 + spot
+    assert sum(seen) == final_n // 2 + 1 + spot
+    assert max(seen) <= 8192  # the CF is called on blocks, never on a whole grid
+    # the reused even points are the very values a fresh grid gets
     again = pmf_from_cf(_cf_of(p), p.a, final_n)
-    assert np.max(np.abs(pmf.masses - again.masses)) < 1e-14
+    assert np.array_equal(pmf.masses, again.masses)
+    assert pmf.alias_bound == again.alias_bound
+
+
+def test_pmf_auto_peak_memory_is_about_24_bytes_a_point():
+    # the last window, n = 2^20, holds the conjugated half-grid CF (8n bytes) and two
+    # n-point float arrays at once; numpy's FFT scratch is not traced
+    p = DiscreteStable(0.7, 0.5, 1.0, 0.1)
+    cf = _cf_of(p)
+    pmf_auto(cf, p.a, tol=1e-2)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        pmf = pmf_auto(cf, p.a, tol=3e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pmf.masses.size == 1 << 20
+    assert peak < 28e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_x_values_and_cdf_match_their_plain_forms():
+    pmf = LatticePMF(0.1, -(1 << 40), np.array([0.5, -1e-13, 0.25, 0.25]), 0.0)
+    assert np.array_equal(pmf.x_values(), 0.1 * pmf.k_values())
+    x = np.r_[-math.inf, pmf.x_values(), pmf.x_values() + 0.05, math.inf]
+    cum = np.r_[0.0, np.cumsum(pmf.clamped())]
+    assert np.array_equal(cdf_from_pmf(pmf, x),
+                          cum[np.searchsorted(pmf.x_values(), x, side="right")])
